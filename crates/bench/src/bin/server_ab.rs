@@ -10,8 +10,11 @@
 //!
 //! Every leg drives the same seeded benign traffic script and must
 //! produce the byte-identical settled response stream — the bench
-//! measures overhead, not answers. Exits non-zero if any stream
-//! diverges or MCFI throughput falls below a fixed fraction of plain.
+//! measures overhead, not answers. Each leg drives one untimed warm-up
+//! round first, so the timed rounds measure warm serving rather than
+//! the first round's `dlsym` handler binds. Exits non-zero if any
+//! stream diverges, the storm leg absorbs no fault, or warm MCFI
+//! throughput falls below a fixed fraction of plain.
 
 use std::time::Instant;
 
@@ -25,8 +28,8 @@ const ROUNDS: usize = 8;
 const TRAFFIC_SEED: u64 = 2014;
 const STORM_SEED: u64 = 7;
 const FAULTS: usize = 6;
-/// MCFI requests/sec below this fraction of plain fails the bench.
-const FLOOR: f64 = 0.02;
+/// Warm MCFI requests/sec below this fraction of plain fails the bench.
+const FLOOR: f64 = 0.5;
 
 #[derive(Serialize)]
 struct Row {
@@ -64,6 +67,13 @@ fn drive(
     let popts = ProcessOptions { violation_policy: vp, ..Default::default() };
     let mut srv =
         NetServer::boot_with(policy, NetConfig::default(), popts).expect("server boots");
+    // The untimed warm-up round binds the handlers; its stream is the
+    // reference every timed round must repeat.
+    let warm = srv.drive(script).expect("drive settles");
+    assert_eq!(warm.verdict, NetVerdict::Healthy, "{leg}: benign traffic degraded");
+    let stream = warm.stream;
+    // Armed after the warm-up, so the plan's faults land in the timed
+    // rounds instead of being used up before the clock starts.
     if chaos {
         srv.arm_chaos(FaultPlan::random_net(STORM_SEED, FAULTS));
     }
@@ -73,9 +83,8 @@ fn drive(
     let mut checks = 0u64;
     let mut steps = 0u64;
     let mut faults = 0u64;
-    let mut stream = Vec::new();
     let t = Instant::now();
-    for round in 0..ROUNDS {
+    for _ in 0..ROUNDS {
         let out = srv.drive(script).expect("drive settles");
         assert_eq!(out.verdict, NetVerdict::Healthy, "{leg}: benign traffic degraded");
         requests += out.stats.segments as u64;
@@ -88,11 +97,7 @@ fn drive(
             + out.stats.reorders
             + out.stats.aborts_injected
             + out.stats.stalls;
-        if round == 0 {
-            stream = out.stream;
-        } else {
-            assert_eq!(stream, out.stream, "{leg}: rounds must repeat identically");
-        }
+        assert_eq!(stream, out.stream, "{leg}: rounds must repeat identically");
     }
     let elapsed = t.elapsed().as_secs_f64();
     let row = Row {
@@ -142,9 +147,12 @@ fn main() {
             failed = true;
         }
     }
-    let rps = |leg: &str| {
-        rows.iter().find(|r| r.leg == leg).expect("leg exists").requests_per_sec
-    };
+    let row = |leg: &str| rows.iter().find(|r| r.leg == leg).expect("leg exists");
+    if row("mcfi-storm").faults_absorbed == 0 {
+        eprintln!("FAIL: the storm leg absorbed no fault");
+        failed = true;
+    }
+    let rps = |leg: &str| row(leg).requests_per_sec;
     let mcfi_vs_plain = rps("mcfi") / rps("plain").max(1e-9);
     let audit_vs_plain = rps("audit") / rps("plain").max(1e-9);
 

@@ -1,17 +1,17 @@
 //! A/B benchmark for the baseline-compiled execution tier.
 //!
 //! Runs every Fig. 5 workload twice — once through the translated tier
-//! (`translate: true`, superblocks with per-site-specialized TxChecks)
-//! and once on the predecoded interpreter it falls back to — and
-//! reports host-clock steps/second for each, the speedup, and the
-//! tier's counters. Both arms fetch through the predecode cache, so the
-//! measured delta is translation alone, not decode memoisation. Also
-//! cross-checks that both arms report identical outcome, steps, cycles,
-//! and checks: the tier must be architecturally invisible.
+//! (`translate: true`, the default: superblocks with per-site-specialized
+//! TxChecks) and once on the reference interpreter it falls back to
+//! (`translate: false`, which decodes every step) — and reports
+//! host-clock steps/second for each, the speedup, and the tier's
+//! counters. Also cross-checks that both arms report identical outcome,
+//! steps, cycles, and checks: the tier must be architecturally
+//! invisible.
 //!
 //! Emits `BENCH_trans.json` for CI artifacts and exits non-zero if the
-//! geometric-mean speedup lands under 2x (the CI floor; the tentpole
-//! target is 3x over the predecoded interpreter).
+//! geometric-mean speedup lands under 3.5x (the CI floor; the target is
+//! 10x over the reference interpreter).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -24,6 +24,12 @@ const STEP_BUDGET: u64 = 12_000_000;
 
 /// Interleaved repetitions per arm; best-of wall clock is reported.
 const REPS: u32 = 3;
+
+/// Geometric-mean speedup below which the bench fails.
+const FLOOR: f64 = 3.5;
+
+/// The speedup the tier is working towards.
+const TARGET: f64 = 10.0;
 
 fn boot(src: &str, translate: bool) -> System {
     let opts = ProcessOptions {
@@ -61,7 +67,7 @@ fn measure(src: &str) -> ((RunResult, f64), (RunResult, f64)) {
 }
 
 fn main() {
-    println!("baseline-compiled tier A/B (translated vs predecoded interpreter)\n");
+    println!("baseline-compiled tier A/B (translated vs reference interpreter)\n");
     println!(
         "{:<12} {:>10} {:>14} {:>14} {:>8}  {:>9} {:>7} {:>9}",
         "workload", "steps", "trans st/s", "interp st/s", "speedup", "dispatch", "blocks", "fallback"
@@ -89,7 +95,7 @@ fn main() {
             interp_sps,
             speedup,
             rt.trans_dispatches,
-            rt.trans_translations,
+            rt.icache_misses,
             rt.trans_fallbacks,
         );
         let _ = writeln!(
@@ -97,21 +103,21 @@ fn main() {
             "    {{\"workload\": \"{bench}\", \"steps\": {}, \"translated_sps\": {trans_sps:.1}, \
              \"interpreted_sps\": {interp_sps:.1}, \"speedup\": {speedup:.3}, \
              \"dispatches\": {}, \"translations\": {}, \"fallbacks\": {}}},",
-            rt.steps, rt.trans_dispatches, rt.trans_translations, rt.trans_fallbacks
+            rt.steps, rt.trans_dispatches, rt.icache_misses, rt.trans_fallbacks
         );
     }
     let geomean = (log_sum / BENCHMARKS.len() as f64).exp();
     let rows = rows.trim_end().trim_end_matches(',');
     let json = format!(
-        "{{\n  \"geomean_speedup\": {geomean:.3},\n  \"floor\": 2.0,\n  \"target\": 3.0,\n  \
-         \"workloads\": [\n{rows}\n  ]\n}}\n"
+        "{{\n  \"geomean_speedup\": {geomean:.3},\n  \"floor\": {FLOOR:.1},\n  \
+         \"target\": {TARGET:.1},\n  \"workloads\": [\n{rows}\n  ]\n}}\n"
     );
     std::fs::write("BENCH_trans.json", json).expect("write BENCH_trans.json");
     println!("\nwrote BENCH_trans.json");
 
-    if geomean < 2.0 {
-        eprintln!("\nFAIL: geomean speedup {geomean:.2}x is below the 2x floor");
+    if geomean < FLOOR {
+        eprintln!("\nFAIL: geomean speedup {geomean:.2}x is below the {FLOOR}x floor");
         std::process::exit(1);
     }
-    println!("PASS: geomean speedup {geomean:.2}x (floor: 2x, target: 3x)");
+    println!("PASS: geomean speedup {geomean:.2}x (floor: {FLOOR}x, target: {TARGET}x)");
 }

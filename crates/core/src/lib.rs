@@ -171,7 +171,7 @@ impl System {
     }
 
     /// Like [`System::boot_modules`], with explicit process options
-    /// (violation policy, step budget, predecode, layout).
+    /// (violation policy, step budget, execution tier, layout).
     ///
     /// # Errors
     ///

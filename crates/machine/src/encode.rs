@@ -436,50 +436,6 @@ fn reg_at(s: &[u8], i: usize, offset: usize) -> Result<Reg, DecodeError> {
     Reg::from_nibble(s[i]).ok_or(DecodeError::BadSubOpcode { byte: s[i], offset })
 }
 
-/// A linear decode sweep over `[start, end)` of a byte buffer.
-///
-/// Produced by [`decode_sweep`]; yields `(offset, instruction, length)`
-/// for every offset at which a decode succeeds along one forward walk.
-/// After a successful decode the walk advances by the instruction
-/// length; on a decode failure (padding, embedded table data, a
-/// truncated tail) it advances one byte and retries, so a single bad
-/// byte cannot hide the rest of the region.
-pub struct DecodeSweep<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    end: usize,
-}
-
-impl Iterator for DecodeSweep<'_> {
-    type Item = (usize, Inst, usize);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.pos < self.end {
-            match decode(self.bytes, self.pos) {
-                Ok((inst, len)) => {
-                    let at = self.pos;
-                    self.pos += len;
-                    return Some((at, inst, len));
-                }
-                Err(_) => self.pos += 1,
-            }
-        }
-        None
-    }
-}
-
-/// Sweeps `[start, end)` decoding instructions in one forward pass.
-///
-/// Only the *start* offset of each yielded instruction is confined to
-/// the window; decoding itself reads from the full `bytes` buffer, so
-/// an instruction beginning on the window's last byte decodes exactly
-/// as [`decode`] would at that offset. This is the batch primitive the
-/// runtime's predecode cache uses to fill a region's side-table in one
-/// pass instead of re-decoding on every fetch.
-pub fn decode_sweep(bytes: &[u8], start: usize, end: usize) -> DecodeSweep<'_> {
-    DecodeSweep { bytes, pos: start, end: end.min(bytes.len()) }
-}
-
 /// Decodes an entire code buffer into `(offset, instruction)` pairs.
 ///
 /// # Errors
@@ -617,58 +573,11 @@ mod tests {
         assert_eq!(gadget, Inst::Ret);
     }
 
-    #[test]
-    fn sweep_matches_decode_all_on_clean_code() {
-        let insts = sample_instructions();
-        let bytes = encode(&insts);
-        let swept: Vec<(usize, Inst)> =
-            decode_sweep(&bytes, 0, bytes.len()).map(|(off, inst, _)| (off, inst)).collect();
-        assert_eq!(swept, decode_all(&bytes).unwrap());
-    }
-
-    #[test]
-    fn sweep_skips_undecodable_bytes_one_at_a_time() {
-        // 0x00 is an invalid opcode; the sweep must step over each junk
-        // byte and resynchronise on the Ret that follows.
-        let mut bytes = vec![0x00, 0x00, 0x00];
-        let ret_at = bytes.len();
-        bytes.extend(encode(&[Inst::Ret, Inst::Nop]));
-        let swept: Vec<(usize, Inst, usize)> = decode_sweep(&bytes, 0, bytes.len()).collect();
-        assert_eq!(swept.len(), 2);
-        assert_eq!(swept[0], (ret_at, Inst::Ret, 1));
-        assert_eq!(swept[1].1, Inst::Nop);
-    }
-
-    #[test]
-    fn sweep_window_bounds_starts_not_spans() {
-        // A MovImm beginning on the window's final byte decodes past the
-        // window end, exactly like a plain decode() at that offset.
-        let bytes = encode(&[Inst::Ret, Inst::MovImm { dst: Reg::Rax, imm: 7 }]);
-        let swept: Vec<(usize, Inst, usize)> = decode_sweep(&bytes, 0, 2).collect();
-        assert_eq!(swept.len(), 2);
-        assert_eq!(swept[1], (1, Inst::MovImm { dst: Reg::Rax, imm: 7 }, 10));
-        // No starts at or past the window end.
-        assert!(decode_sweep(&bytes, 2, 2).next().is_none());
-    }
-
     proptest! {
         #[test]
         fn decode_never_panics_on_junk(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
             let _ = decode(&bytes, 0);
             let _ = decode_all(&bytes);
-            let _ = decode_sweep(&bytes, 0, bytes.len()).count();
-        }
-
-        #[test]
-        fn sweep_agrees_with_pointwise_decode(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-            // Every instruction the sweep yields must be exactly what a
-            // pointwise decode at that offset produces — the property
-            // the predecode cache's correctness rests on.
-            for (off, inst, len) in decode_sweep(&bytes, 0, bytes.len()) {
-                let (pointwise, plen) = decode(&bytes, off).unwrap();
-                prop_assert_eq!(inst, pointwise);
-                prop_assert_eq!(len, plen);
-            }
         }
 
         #[test]

@@ -35,7 +35,7 @@ mod inst;
 mod reg;
 
 pub use cost::{cost_of, CYCLES_ALU, CYCLES_BRANCH, CYCLES_INDIRECT, CYCLES_LOAD, CYCLES_STORE};
-pub use encode::{decode, decode_all, decode_sweep, encode, encode_into, DecodeError, DecodeSweep};
+pub use encode::{decode, decode_all, encode, encode_into, DecodeError};
 pub use inst::{AluOp, Cond, FaluOp, Inst};
 pub use reg::Reg;
 

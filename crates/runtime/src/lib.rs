@@ -17,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod icache;
 pub mod image;
 pub mod mem;
 pub mod process;
@@ -26,7 +25,6 @@ pub mod synth;
 pub mod trans;
 pub mod vm;
 
-pub use icache::PredecodeCache;
 pub use image::SharedImage;
 pub use trans::TransCache;
 pub use mem::SandboxSnapshot;
@@ -432,127 +430,6 @@ mod tests {
         assert!(matches!(err, LoadError::Unresolved(ref n) if n == "ghost"), "{err}");
     }
 
-    /// Every observable field of a run must be byte-identical with the
-    /// predecode cache on and off — the cache is a pure fetch memo.
-    fn assert_observably_identical(cached: &RunResult, uncached: &RunResult, what: &str) {
-        assert_eq!(cached.outcome, uncached.outcome, "{what}: outcome");
-        assert_eq!(cached.steps, uncached.steps, "{what}: steps");
-        assert_eq!(cached.cycles, uncached.cycles, "{what}: cycles");
-        assert_eq!(cached.checks, uncached.checks, "{what}: checks");
-        assert_eq!(cached.indirect_taken, uncached.indirect_taken, "{what}: indirect_taken");
-        assert_eq!(cached.stdout, uncached.stdout, "{what}: stdout");
-        assert_eq!(cached.updates, uncached.updates, "{what}: updates");
-        assert_eq!(uncached.icache_hits, 0, "{what}: uncached runs must not touch the cache");
-        assert!(cached.icache_hits > 0, "{what}: cached runs must actually hit");
-    }
-
-    #[test]
-    fn cached_and_uncached_runs_are_observably_identical() {
-        let programs: &[(&str, &str)] = &[
-            ("trivial", "int main(void) { return 42; }"),
-            (
-                "fib",
-                "int fib(int n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }\n\
-                 int main(void) { return fib(12); }",
-            ),
-            (
-                "indirect",
-                "int twice(int x) { return x * 2; }\n\
-                 int main(void) { int (*f)(int); f = &twice; return f(21); }",
-            ),
-            (
-                "switch",
-                "int classify(int x) {\n\
-                   switch (x) { case 0: return 10; case 1: return 20; default: return -1; }\n\
-                   return 0;\n\
-                 }\n\
-                 int main(void) { return classify(1) + classify(7); }",
-            ),
-            (
-                "stdout",
-                "int puts(char* s);\nint main(void) { puts(\"hello mcfi\"); return 0; }",
-            ),
-            (
-                "violation",
-                "float fsq(float x) { return x * x; }\n\
-                 int main(void) {\n\
-                   void* raw = (void*)&fsq;\n\
-                   int (*f)(int) = (int(*)(int))raw;\n\
-                   return f(3);\n\
-                 }",
-            ),
-        ];
-        for (name, src) in programs {
-            let opts = CodegenOptions::default();
-            let cached = boot_full(src, &opts, ProcessOptions::default()).run("__start").unwrap();
-            let uncached =
-                boot_full(src, &opts, ProcessOptions { predecode: false, ..Default::default() })
-                    .run("__start")
-                    .unwrap();
-            assert_observably_identical(&cached, &uncached, name);
-        }
-    }
-
-    #[test]
-    fn dlopen_code_patching_is_identical_cached_and_uncached() {
-        // The invalidation stress: dlopen maps code writable, patches it
-        // (relocations, Bary-slot immediates, GOT binding during the
-        // update transaction), and flips it executable — all after the
-        // cache has been built and PLT code has already executed. The
-        // cached run must re-decode everything the loader touched.
-        let src = "int provided(int x);\n\
-                   int dlopen(char* name);\n\
-                   int main(void) {\n\
-                     int ok = dlopen(\"libm2\");\n\
-                     if (!ok) { return -1; }\n\
-                     int r = provided(5);\n\
-                     return r;\n\
-                   }";
-        let run_mode = |predecode: bool| {
-            let lib = compile("libm2", "int provided(int x) { return x + 100; }");
-            let mut p = boot_full(
-                src,
-                &CodegenOptions::default(),
-                ProcessOptions { predecode, ..Default::default() },
-            );
-            p.register_library("libm2", lib);
-            p.run("__start").unwrap()
-        };
-        let cached = run_mode(true);
-        let uncached = run_mode(false);
-        assert_eq!(cached.outcome, Outcome::Exit { code: 105 }, "stdout: {}", cached.stdout);
-        assert_observably_identical(&cached, &uncached, "plt-after-dlopen");
-        assert!(
-            cached.icache_invalidations >= 2,
-            "the initial build plus the dlopen must each rebuild, got {}",
-            cached.icache_invalidations
-        );
-    }
-
-    #[test]
-    fn run_with_updates_is_identical_cached_and_uncached() {
-        let src = "int work(int x) { return x * 2 + 1; }\n\
-                   int main(void) {\n\
-                     int acc = 0; int i = 0;\n\
-                     int (*f)(int) = &work;\n\
-                     while (i < 500) { acc = acc + f(i); i = i + 1; }\n\
-                     return acc % 97;\n\
-                   }";
-        let run_mode = |predecode: bool| {
-            boot_full(
-                src,
-                &CodegenOptions::default(),
-                ProcessOptions { predecode, ..Default::default() },
-            )
-            .run_with_updates("__start", 5_000, 200)
-            .unwrap()
-        };
-        let cached = run_mode(true);
-        let uncached = run_mode(false);
-        assert!(cached.updates > 0, "the scripted updater must fire");
-        assert_observably_identical(&cached, &uncached, "scripted-updates");
-    }
-
     /// The architectural-equality contract for the baseline-compiled
     /// tier: everything the guest or a profiler can observe must match
     /// the interpreter exactly; only the tier's own counters differ.
@@ -570,7 +447,7 @@ mod tests {
             "{what}: interpreter runs must not touch the translated tier"
         );
         assert!(translated.trans_dispatches > 0, "{what}: translated runs must dispatch blocks");
-        assert!(translated.trans_translations > 0, "{what}: blocks must actually be lowered");
+        assert!(translated.icache_misses > 0, "{what}: blocks must actually be lowered");
     }
 
     #[test]
@@ -612,12 +489,11 @@ mod tests {
         for (name, src) in programs {
             let opts = CodegenOptions::default();
             let translated =
-                boot_full(src, &opts, ProcessOptions { translate: true, ..Default::default() })
+                boot_full(src, &opts, ProcessOptions::default()).run("__start").unwrap();
+            let interpreted =
+                boot_full(src, &opts, ProcessOptions { translate: false, ..Default::default() })
                     .run("__start")
                     .unwrap();
-            let interpreted = boot_full(src, &opts, ProcessOptions::default())
-                .run("__start")
-                .unwrap();
             assert_arch_identical(&translated, &interpreted, name);
         }
     }
@@ -739,12 +615,11 @@ mod tests {
 
     #[test]
     fn restored_uncached_run_reports_zero_cache_counters() {
-        // Regression: a checkpoint captured during a cached run stores
-        // the VM stats — icache counters included — inside its VmState.
-        // Restoring it and resuming under a configuration that never
-        // touches a cache (here the always-uncached attacker driver)
-        // used to report the stale counters; the run loop must zero
-        // whatever its own configuration cannot produce.
+        // Regression: a checkpoint captured during a translated run
+        // stores the VM stats — tier counters included — inside its
+        // VmState. Restoring it and resuming on a driver that never
+        // touches the tier (here the always-interpreted attacker) used
+        // to report the stale counters; the run loop must zero them.
         let src = "int main(void) {\n\
                      int acc = 0; int i = 0;\n\
                      while (i < 2000) { acc = acc + i; i = i + 1; }\n\
@@ -756,15 +631,15 @@ mod tests {
             ProcessOptions { checkpoint_interval: 1_000, ..Default::default() },
         );
         let first = p.run("__start").unwrap();
-        assert!(first.icache_hits > 0, "the cached run must hit");
+        assert!(first.icache_hits > 0, "the translated run must hit");
         assert!(p.checkpoints_taken() > 0, "the run must checkpoint");
         let cp = p.checkpoints().last().expect("checkpoint captured").clone();
         p.restore(&cp).expect("restore succeeds");
         let resumed = p.run_with_attacker("__start", |_, _, _| {}).unwrap();
         assert_eq!(resumed.outcome, first.outcome, "resumed run finishes the program");
-        assert_eq!(resumed.icache_hits, 0, "uncached resumption must report zero hits");
-        assert_eq!(resumed.icache_misses, 0, "uncached resumption must report zero misses");
-        assert_eq!(resumed.trans_dispatches, 0, "untranslated resumption: zero dispatches");
+        assert_eq!(resumed.icache_hits, 0, "interpreted resumption must report zero hits");
+        assert_eq!(resumed.icache_misses, 0, "interpreted resumption must report zero misses");
+        assert_eq!(resumed.trans_dispatches, 0, "interpreted resumption: zero dispatches");
     }
 
     #[test]

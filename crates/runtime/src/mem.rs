@@ -91,8 +91,8 @@ pub struct Sandbox {
     /// reprotecting regions, loader image writes, and raw mutable
     /// access. Ordinary `write8`/`write64` do *not* bump it: W^X
     /// guarantees they can never touch executable bytes, so cached
-    /// decodings stay valid across them. Consumers (the predecode
-    /// cache) compare this against the generation they were built at.
+    /// decodings stay valid across them. Consumers (the translated
+    /// tier) compare this against the generation they were built at.
     generation: u64,
     /// Index of the region that served the last data access. Data
     /// traffic clusters on the stack, so this short-circuits the linear
@@ -302,8 +302,8 @@ impl Sandbox {
     /// byte written since it was taken.
     ///
     /// The generation counter is *not* restored: it keeps counting
-    /// forward, so predecode caches built against the discarded state can
-    /// never validate against the restored one.
+    /// forward, so translated blocks built against the discarded state
+    /// can never validate against the restored one.
     pub fn restore(&mut self, snap: SandboxSnapshot) {
         self.bytes = snap.bytes;
         self.regions = snap.regions;

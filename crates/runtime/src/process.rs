@@ -25,7 +25,6 @@ use mcfi_tables::{
     WatchdogVerdict,
 };
 
-use crate::icache::PredecodeCache;
 use crate::mem::{MemFault, Perm, Sandbox, SandboxSnapshot};
 use crate::synth::Sys;
 use crate::trans::{Dispatch, TransCache};
@@ -73,21 +72,16 @@ pub struct ProcessOptions {
     pub max_steps: u64,
     /// Maximum Bary slots (indirect branches) across all loaded modules.
     pub bary_capacity: usize,
-    /// Whether [`Process::run`] and [`Process::run_with_updates`] fetch
-    /// through the predecoded-instruction cache (see [`crate::icache`]).
-    /// Architecturally invisible either way; disable to A/B the cost of
-    /// per-step decoding. [`Process::run_with_attacker`] always runs
-    /// uncached, since the attacker rewrites raw memory between steps.
-    pub predecode: bool,
     /// Whether [`Process::run`] and [`Process::run_with_updates`]
     /// execute through the baseline-compiled tier (see [`crate::trans`]):
     /// basic blocks are lowered to threaded-code form with the Fig. 4
     /// check transaction specialized per indirect-branch site, and any
-    /// sandbox generation bump deoptimizes back to the interpreter.
-    /// Architecturally invisible; off by default so interpreter-tier
-    /// A/B baselines (and their cache-counter contracts) are unchanged.
-    /// [`Process::run_with_attacker`] always interprets, for the same
-    /// reason it runs uncached.
+    /// sandbox generation bump deoptimizes back to [`Vm::step`], the
+    /// reference interpreter. Architecturally invisible; on by default.
+    /// Disable to run on the reference interpreter alone (the
+    /// differential suites and the tier's A/B bench do).
+    /// [`Process::run_with_attacker`] always interprets, since the
+    /// attacker rewrites raw memory between steps.
     pub translate: bool,
     /// What to do when a check transaction halts the program.
     pub violation_policy: ViolationPolicy,
@@ -114,8 +108,7 @@ impl Default for ProcessOptions {
             layout: Layout::default(),
             max_steps: 500_000_000,
             bary_capacity: 1 << 16,
-            predecode: true,
-            translate: false,
+            translate: true,
             violation_policy: ViolationPolicy::Enforce,
             violation_log_capacity: ViolationLog::CAPACITY,
             checkpoint_interval: 0,
@@ -314,12 +307,12 @@ pub struct RunResult {
     pub checks: u64,
     /// Indirect branches taken.
     pub indirect_taken: u64,
-    /// Predecode-cache hits (zero on uncached runs).
+    /// Tier dispatches that found a live translated block (zero on
+    /// untranslated runs; see [`crate::trans`]).
     pub icache_hits: u64,
-    /// Predecode-cache misses (zero on uncached runs).
+    /// Basic blocks lowered to threaded-code form during the run — the
+    /// tier's cache misses.
     pub icache_misses: u64,
-    /// Predecode-cache rebuilds forced by loader activity.
-    pub icache_invalidations: u64,
     /// Whether control ever reached `execve` (the §8.3 case study probe).
     pub execve_reached: bool,
     /// Update transactions executed during the run (dlopens).
@@ -361,8 +354,6 @@ pub struct RunResult {
     /// Translated blocks dispatched by the baseline-compiled tier
     /// (zero on untranslated runs; see [`crate::trans`]).
     pub trans_dispatches: u64,
-    /// Basic blocks lowered to threaded-code form during the run.
-    pub trans_translations: u64,
     /// Translations performed after at least one deoptimization — the
     /// lazy re-translation work a generation bump forces.
     pub trans_retranslations: u64,
@@ -637,12 +628,9 @@ pub struct Process {
     updates: u64,
     /// Published cycle counter (for external updater threads).
     cycles_shared: Arc<AtomicU64>,
-    /// Predecoded-instruction cache for the cached run loops. Kept on
-    /// the process so its side-tables survive across consecutive runs.
-    icache: PredecodeCache,
     /// Translated-block cache of the baseline-compiled tier (see
-    /// [`crate::trans`]); like the icache it survives across runs and
-    /// deoptimizes on any sandbox generation bump.
+    /// [`crate::trans`]); it survives across runs and deoptimizes on any
+    /// sandbox generation bump.
     trans: TransCache,
     /// Armed fault injector, shared with the tables (see [`mcfi_chaos`]).
     chaos: Option<Arc<ChaosInjector>>,
@@ -789,7 +777,6 @@ impl Process {
             execve_reached: false,
             updates: 0,
             cycles_shared: Arc::new(AtomicU64::new(0)),
-            icache: PredecodeCache::new(),
             trans: TransCache::new(),
             chaos: None,
             load_rollbacks: 0,
@@ -907,8 +894,8 @@ impl Process {
     /// registry, and run-visible output all return to their captured
     /// values. The ID tables are *re-synchronized*, not rolled back — a
     /// fresh update transaction installs the CFG of the restored module
-    /// set, so table versions keep moving forward and the predecode
-    /// cache invalidates itself via the sandbox generation bump.
+    /// set, so table versions keep moving forward and the translated
+    /// tier deoptimizes itself via the sandbox generation bump.
     ///
     /// If `cp` captured VM state, the next run resumes from exactly that
     /// state (the entry argument is ignored); otherwise the next run
@@ -1159,7 +1146,7 @@ impl Process {
     /// sandbox's permission checks — the host side of a shared-memory
     /// mailbox (e.g. a network harness delivering a packet into the
     /// guest's receive buffer between runs). Data writes never touch code
-    /// pages, so the predecode/translation caches stay valid.
+    /// pages, so translated blocks stay valid.
     pub fn poke(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
         for (i, &b) in bytes.iter().enumerate() {
             self.mem.write8(addr + i as u64, b)?;
@@ -1720,7 +1707,6 @@ impl Process {
             indirect_taken: vm.stats.indirect_taken,
             icache_hits: vm.stats.icache_hits,
             icache_misses: vm.stats.icache_misses,
-            icache_invalidations: vm.stats.icache_invalidations,
             execve_reached: self.execve_reached,
             updates: self.updates - start_updates,
             check_retries: vm.stats.check_retries,
@@ -1735,7 +1721,6 @@ impl Process {
             admission_rejects: self.admission_rejects,
             tx_lease_repairs: tx.lease_repairs,
             trans_dispatches: vm.stats.trans_dispatches,
-            trans_translations: vm.stats.trans_translations,
             trans_retranslations: vm.stats.trans_retranslations,
             trans_deopts: vm.stats.trans_deopts,
             trans_fallbacks: vm.stats.trans_fallbacks,
@@ -1744,9 +1729,9 @@ impl Process {
 
     /// Runs exported function `entry` (typically `__start`).
     ///
-    /// With `predecode` enabled (the default), instruction fetch goes
-    /// through the predecode cache; the observable result — outcome,
-    /// stdout, steps, cycles, checks — is identical either way.
+    /// With `translate` enabled (the default), execution runs on the
+    /// translated tier; the observable result — outcome, stdout, steps,
+    /// cycles, checks — is identical to the reference interpreter's.
     ///
     /// # Errors
     ///
@@ -1761,8 +1746,8 @@ impl Process {
     /// store, the registers, and the step count). Registers themselves
     /// are not directly modifiable — exactly the paper's threat model.
     ///
-    /// Always runs uncached, since the attacker rewrites raw memory
-    /// between steps.
+    /// Always runs on the reference interpreter, since the attacker
+    /// rewrites raw memory between steps.
     ///
     /// # Errors
     ///
@@ -1805,28 +1790,20 @@ impl Process {
         let start_rollbacks = self.load_rollbacks;
         let start_tx = self.tables.tx_counters();
 
-        // Table version churn never touches code bytes, so the predecode
-        // cache stays valid under scripted updates; only the attacker
-        // (who rewrites raw memory between steps) forces uncached runs.
-        let cached = self.opts.predecode && !matches!(driver, Driver::Attacker(_));
-        // The translated tier memoises decoded code the same way, with
-        // the same attacker exception; it deoptimizes on any sandbox
-        // generation bump (dlopen, chaos) back to the interpreter.
+        // Table version churn never touches code bytes, so translated
+        // blocks stay valid under scripted updates; they deoptimize on
+        // any sandbox generation bump (dlopen, chaos). Only the attacker,
+        // who rewrites raw memory between steps, forces interpretation.
         let translated = self.opts.translate && !matches!(driver, Driver::Attacker(_));
 
         // A checkpoint restore hands `start_vm` the stats of the run
-        // that *captured* it — including cache/tier counters a
-        // differently-configured resumption never touches. Zero whatever
-        // this run's configuration cannot produce, so an uncached run
-        // reports 0 hits/misses instead of a stale snapshot.
-        if !cached {
+        // that *captured* it, tier counters included. An interpreted
+        // resumption never touches the tier, so it reports zeros instead
+        // of a stale snapshot.
+        if !translated {
             vm.stats.icache_hits = 0;
             vm.stats.icache_misses = 0;
-            vm.stats.icache_invalidations = 0;
-        }
-        if !translated {
             vm.stats.trans_dispatches = 0;
-            vm.stats.trans_translations = 0;
             vm.stats.trans_retranslations = 0;
             vm.stats.trans_deopts = 0;
             vm.stats.trans_fallbacks = 0;
@@ -1907,21 +1884,12 @@ impl Process {
                 match self.trans.dispatch(&mut vm, &mut self.mem, &tables, step_limit, cycle_limit)
                 {
                     Ok(Dispatch::Ran(ev)) => Ok(ev),
-                    // The fallback ladder: translated → step_cached →
-                    // step. A dispatch that could not run a block takes
-                    // exactly one interpreter step, so the loop always
-                    // makes progress.
-                    Ok(Dispatch::Interp) => {
-                        if cached {
-                            vm.step_cached(&mut self.mem, &self.tables, &mut self.icache)
-                        } else {
-                            vm.step(&mut self.mem, &self.tables)
-                        }
-                    }
+                    // The fallback ladder: translated → step. A dispatch
+                    // that could not run a block takes exactly one
+                    // interpreter step, so the loop always makes progress.
+                    Ok(Dispatch::Interp) => vm.step(&mut self.mem, &self.tables),
                     Err(e) => Err(e),
                 }
-            } else if cached {
-                vm.step_cached(&mut self.mem, &self.tables, &mut self.icache)
             } else {
                 vm.step(&mut self.mem, &self.tables)
             };

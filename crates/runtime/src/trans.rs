@@ -1,12 +1,12 @@
 //! The baseline-compiled execution tier: superblock translation with
 //! per-site-specialized TxChecks.
 //!
-//! The predecode cache ([`crate::icache`]) removes the fetch taxes —
-//! `check_exec` and the variable-length decode — but still dispatches
-//! one instruction per run-loop iteration, paying the loop-top
-//! bookkeeping (step budget, checkpoint cadence, driver hooks, event
-//! match) on every step. This module lowers whole basic *superblocks*
-//! into a compact op stream executed by a tight internal loop:
+//! The reference interpreter ([`Vm::step`]) pays two taxes on every
+//! instruction: the fetch (`check_exec` plus a variable-length decode)
+//! and the run loop's bookkeeping (step budget, checkpoint cadence,
+//! driver hooks, event match). This tier decodes each block once and
+//! lowers whole basic *superblocks* into a compact op stream executed
+//! by a tight internal loop:
 //!
 //! - **Straight-line ops** run through stripped executor arms that
 //!   accumulate step/cycle charges in locals (flushed at block exits)
@@ -30,15 +30,20 @@
 //!
 //! # Invalidation: deopt on generation bump
 //!
-//! Translated blocks memoise decoded bytes, so they ride the same
-//! correctness argument as the predecode cache: every code-byte
-//! mutation funnels through `Sandbox::{map, protect, load_image,
-//! raw_mut}`, each of which bumps the sandbox generation. The
+//! Translated blocks memoise decoded bytes, so they go stale only when
+//! the bytes an instruction fetch observes change. Under W^X every such
+//! change funnels through `Sandbox::{map, protect, load_image,
+//! raw_mut}`, each of which bumps the sandbox generation;
+//! `write8`/`write64` fault on non-writable regions, and no region is
+//! ever writable and executable, so data traffic leaves it alone. The
 //! dispatcher compares its build generation on every entry; a mismatch
 //! *deoptimizes* — all blocks are discarded, execution falls back to
-//! `step_cached`, and retranslation happens lazily (and is counted as
+//! [`Vm::step`], and retranslation happens lazily (and is counted as
 //! such) the next time a pc gets hot. The `trans-invalidate` chaos
-//! point forces this mid-run without any loader activity.
+//! point forces this mid-run without any loader activity. The
+//! concurrent-attacker harness never runs translated: it rewrites raw
+//! memory between steps, so its TxCheck races are simulated against
+//! live bytes by [`Vm::step`] alone.
 //!
 //! # Interpreter equivalence
 //!
@@ -67,7 +72,7 @@
 //!    so a mid-block fault leaves the machine exactly where the
 //!    interpreter's would.
 //!
-//! The fallback ladder is translated → `step_cached` → `step`: every
+//! The fallback ladder is translated → [`Vm::step`]: every
 //! dispatch that cannot run a block (untranslatable pc, limit
 //! proximity, TxCheck miss) executes at least one interpreter step, so
 //! the run loop always makes progress.
@@ -204,8 +209,8 @@ pub(crate) enum Dispatch {
 }
 
 /// The translated-block cache of the baseline-compiled tier (see the
-/// module docs). One per process, surviving across runs like the
-/// predecode cache; any sandbox generation bump deoptimizes it whole.
+/// module docs). One per process, surviving across runs; any sandbox
+/// generation bump deoptimizes it whole.
 pub struct TransCache {
     /// Sandbox generation the blocks were translated against.
     /// `u64::MAX` is unreachable by the sandbox (generations start at 0
@@ -284,6 +289,9 @@ impl TransCache {
             self.last_segment = si;
             let off = (pc - self.segments[si].start) as usize;
             let mut bi = self.segments[si].index[off];
+            if bi == UNTRANSLATABLE {
+                return Ok(self.chain_break(vm, chained));
+            }
             if bi == EMPTY {
                 let (start, end) = (self.segments[si].start, self.segments[si].end);
                 let block = translate(mem, tables, start, end, pc);
@@ -291,16 +299,15 @@ impl TransCache {
                     self.segments[si].index[off] = UNTRANSLATABLE;
                     return Ok(self.chain_break(vm, chained));
                 }
-                vm.stats.trans_translations += 1;
+                vm.stats.icache_misses += 1;
                 if self.deopted_once {
                     vm.stats.trans_retranslations += 1;
                 }
                 bi = self.blocks.len() as u32;
                 self.blocks.push(block);
                 self.segments[si].index[off] = bi;
-            }
-            if bi == UNTRANSLATABLE {
-                return Ok(self.chain_break(vm, chained));
+            } else {
+                vm.stats.icache_hits += 1;
             }
             let block = &self.blocks[bi as usize];
             if vm.stats.steps.saturating_add(block.total_steps) > step_limit
@@ -362,9 +369,8 @@ impl TransCache {
 /// seg_end)`. Direct branches chain; the walk stops at a terminator, a
 /// specialized check, the op cap, a decode failure, a `Hlt` (never
 /// translated — see the module docs), or bytes spilling past the
-/// segment (parity with the predecode cache's spill rule, since the
-/// tail might be mutable data). An empty result marks the pc
-/// untranslatable.
+/// segment (the tail might be mutable data, whose writes do not bump
+/// the generation). An empty result marks the pc untranslatable.
 fn translate(mem: &Sandbox, tables: &IdTables, seg_start: u64, seg_end: u64, entry: u64) -> Block {
     let bytes = mem.raw();
     let mut ops: Vec<Op> = Vec::new();
@@ -838,4 +844,120 @@ fn exec_straight(
         _ => unreachable!("control flow classified as straight-line"),
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mem::{MemFault, Perm};
+    use mcfi_machine::encode;
+    use mcfi_tables::TablesConfig;
+
+    fn tables() -> IdTables {
+        IdTables::new(TablesConfig { code_size: 0x100, bary_slots: 1 })
+    }
+
+    fn rx_sandbox(insts: &[Inst]) -> Sandbox {
+        let mut mem = Sandbox::new(0x1000);
+        mem.map(0, 0x100, Perm::Rw).unwrap();
+        mem.load_image(0, &encode(insts)).unwrap();
+        mem.protect(0, Perm::Rx).unwrap();
+        mem
+    }
+
+    /// One dispatch at `vm.pc` with no step or cycle ceiling.
+    fn dispatch(cache: &mut TransCache, mem: &mut Sandbox, vm: &mut Vm) -> Dispatch {
+        cache.dispatch(vm, mem, &tables(), u64::MAX, u64::MAX).unwrap()
+    }
+
+    #[test]
+    fn dispatch_matches_pointwise_step() {
+        let insts = [
+            Inst::MovImm { dst: Reg::Rax, imm: 7 },
+            Inst::MovImm { dst: Reg::Rbx, imm: 5 },
+            Inst::Alu { op: mcfi_machine::AluOp::Add, dst: Reg::Rax, src: Reg::Rbx },
+            Inst::Hlt,
+        ];
+        let mut mem = rx_sandbox(&insts);
+        let mut cache = TransCache::new();
+        let mut vm = Vm::new(0);
+        assert!(matches!(dispatch(&mut cache, &mut mem, &mut vm), Dispatch::Ran(Event::Continue)));
+        assert_eq!(vm.stats.steps, 3, "the block stops before the untranslatable Hlt");
+        assert_eq!(vm.stats.icache_misses, 1, "one block lowered");
+        let mut reference = Vm::new(0);
+        for _ in 0..3 {
+            reference.step(&mut mem, &tables()).unwrap();
+        }
+        assert_eq!((vm.regs, vm.pc, vm.flags), (reference.regs, reference.pc, reference.flags));
+        assert_eq!(vm.stats.cycles, reference.stats.cycles);
+    }
+
+    #[test]
+    fn mid_instruction_pc_is_a_miss_then_a_hit() {
+        // pc 2 is inside the MovImm immediate; translating there must
+        // decode the gadget the misaligned bytes spell.
+        let mut mem = rx_sandbox(&[
+            Inst::MovImm { dst: Reg::Rax, imm: 0x20 }, // 0x20 = Syscall opcode
+            Inst::Hlt,
+        ]);
+        let mut cache = TransCache::new();
+        let mut vm = Vm::new(2);
+        assert!(matches!(dispatch(&mut cache, &mut mem, &mut vm), Dispatch::Ran(Event::Syscall)));
+        assert_eq!(vm.pc, 3, "decoding inside the immediate yields the gadget");
+        assert_eq!((vm.stats.icache_hits, vm.stats.icache_misses), (0, 1));
+        vm.pc = 2;
+        let _ = dispatch(&mut cache, &mut mem, &mut vm);
+        assert_eq!((vm.stats.icache_hits, vm.stats.icache_misses), (1, 1), "the block was kept");
+    }
+
+    #[test]
+    fn generation_bump_deopts_and_sees_new_bytes() {
+        let mut mem = rx_sandbox(&[Inst::Nop, Inst::Syscall]);
+        let mut cache = TransCache::new();
+        let mut vm = Vm::new(0);
+        let _ = dispatch(&mut cache, &mut mem, &mut vm);
+        assert_eq!(vm.stats.steps, 2);
+
+        // Loader-style patch: flip writable, rewrite, flip back.
+        mem.protect(0, Perm::Rw).unwrap();
+        mem.load_image(0, &encode(&[Inst::Syscall])).unwrap();
+        mem.protect(0, Perm::Rx).unwrap();
+
+        vm.pc = 0;
+        assert!(matches!(dispatch(&mut cache, &mut mem, &mut vm), Dispatch::Ran(Event::Syscall)));
+        assert_eq!((vm.pc, vm.stats.steps), (1, 3), "patched byte must be re-decoded");
+        assert_eq!(vm.stats.trans_deopts, 1);
+        assert_eq!(vm.stats.trans_retranslations, 1);
+    }
+
+    #[test]
+    fn faults_fall_back_to_the_reference_step() {
+        let mut mem = Sandbox::new(0x1000);
+        mem.map(0, 0x100, Perm::Rw).unwrap();
+        let mut cache = TransCache::new();
+        for (pc, protected) in [(0x10, true), (0x800, false)] {
+            let mut vm = Vm::new(pc);
+            assert!(matches!(dispatch(&mut cache, &mut mem, &mut vm), Dispatch::Interp));
+            let err = vm.step(&mut mem, &tables()).unwrap_err();
+            if protected {
+                assert!(matches!(err, VmError::Mem(MemFault::ExecProtected { .. })), "{err}");
+            } else {
+                assert!(matches!(err, VmError::Mem(MemFault::Unmapped { .. })), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn data_writes_do_not_deopt() {
+        let mut mem = rx_sandbox(&[Inst::Nop, Inst::Syscall]);
+        mem.map(0x200, 0x100, Perm::Rw).unwrap();
+        let mut cache = TransCache::new();
+        let mut vm = Vm::new(0);
+        let _ = dispatch(&mut cache, &mut mem, &mut vm);
+        mem.write64(0x200, 0xdead).unwrap();
+        vm.pc = 0;
+        let _ = dispatch(&mut cache, &mut mem, &mut vm);
+        assert_eq!(vm.stats.trans_deopts, 0, "store to data must not retire blocks");
+        assert_eq!((vm.stats.icache_hits, vm.stats.icache_misses), (1, 1));
+    }
 }

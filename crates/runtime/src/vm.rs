@@ -13,7 +13,6 @@ use std::fmt;
 use mcfi_machine::{cost_of, decode, AluOp, Cond, DecodeError, FaluOp, Inst, Reg};
 use mcfi_tables::{Id, IdTables};
 
-use crate::icache::PredecodeCache;
 use crate::mem::{MemFault, Sandbox};
 
 /// A VM-level execution error (distinct from a clean exit or a CFI halt).
@@ -89,13 +88,12 @@ pub struct VmStats {
     pub checks: u64,
     /// Indirect branches actually taken.
     pub indirect_taken: u64,
-    /// Predecode-cache hits (fetches served from the side-table).
+    /// Tier dispatches that found a live translated block at pc (zero
+    /// on untranslated runs; see [`crate::trans`]).
     pub icache_hits: u64,
-    /// Predecode-cache misses (fetches that fell back to a live decode).
+    /// Basic blocks lowered to threaded-code form — the tier's cache
+    /// misses.
     pub icache_misses: u64,
-    /// Predecode-cache rebuilds forced by a sandbox generation change
-    /// (module loads, reprotections, loader patches).
-    pub icache_invalidations: u64,
     /// Guest-level check retries: `TaryLoad` executions that observed a
     /// version differing from the branch ID's (the instrumented retry
     /// loop re-executes the load until the versions agree). The
@@ -105,13 +103,11 @@ pub struct VmStats {
     /// Translated blocks dispatched by the baseline-compiled tier
     /// (zero on untranslated runs; see [`crate::trans`]).
     pub trans_dispatches: u64,
-    /// Basic blocks lowered to threaded-code form.
-    pub trans_translations: u64,
     /// Translations performed after at least one deoptimization — the
     /// lazy re-translation work a generation bump forces.
     pub trans_retranslations: u64,
     /// Deoptimization events: sandbox generation bumps that retired
-    /// live translated blocks back to the `step_cached` interpreter.
+    /// live translated blocks back to the reference interpreter.
     pub trans_deopts: u64,
     /// Dispatches that fell back to single-step interpretation (no
     /// block at pc, a block would cross an interpreter-visible boundary,
@@ -247,9 +243,10 @@ impl Vm {
 
     /// Executes one instruction, decoding it from memory every step.
     ///
-    /// This is the fetch path the concurrent-attacker harness must use:
-    /// the attacker mutates raw memory between steps, so nothing about
-    /// the code bytes may be assumed stable.
+    /// This is the reference interpreter: the translated tier falls back
+    /// to it one step at a time, and the concurrent-attacker harness runs
+    /// on it alone, since the attacker mutates raw memory between steps
+    /// and nothing about the code bytes may be assumed stable.
     ///
     /// # Errors
     ///
@@ -260,27 +257,6 @@ impl Vm {
         let (inst, len) = decode(mem.raw(), self.pc as usize)?;
         let cost = cost_of(&inst);
         self.execute(mem, tables, inst, len as u64, cost)
-    }
-
-    /// Executes one instruction, fetching through the predecode cache.
-    ///
-    /// Produces exactly the same architectural effects as [`Vm::step`]
-    /// for any pc: the cache memoises `check_exec` + `decode` results
-    /// keyed by the sandbox's code generation, falling back to a live
-    /// decode whenever it cannot prove the memoised answer still holds.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`Vm::step`].
-    #[inline]
-    pub fn step_cached(
-        &mut self,
-        mem: &mut Sandbox,
-        tables: &IdTables,
-        cache: &mut PredecodeCache,
-    ) -> Result<Event, VmError> {
-        let (inst, len, cost) = cache.fetch(mem, self.pc, &mut self.stats)?;
-        self.execute(mem, tables, inst, len, cost)
     }
 
     /// Applies one already-fetched instruction to the machine state.

@@ -1752,11 +1752,18 @@ mod tests {
         ));
         let stop = Arc::new(AtomicU32::new(0));
         let cfg = RetryConfig { escalate_after: 8, max_retries: 1 << 20 };
+        // Every checker is running before the crash, and each counts its
+        // finished iterations so `stop` waits for all of them.
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let iters: Arc<[AtomicU64; 3]> = Arc::new(Default::default());
         let mut handles = Vec::new();
-        for _ in 0..3 {
+        for i in 0..3 {
             let t = Arc::clone(&t);
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
+            let iters = Arc::clone(&iters);
             handles.push(std::thread::spawn(move || {
+                start.wait();
                 let mut ok = 0u64;
                 while stop.load(Ordering::Relaxed) == 0 {
                     t.check_bounded(0, 8, &cfg).expect("8 is always legal");
@@ -1768,16 +1775,23 @@ mod tests {
                         "16 must never match slot 0"
                     );
                     ok += 1;
+                    iters[i].store(ok, Ordering::Relaxed);
                 }
                 ok
             }));
         }
+        start.wait();
         assert!(t.bump_version().completed);
         let crashed = t.bump_version(); // planned crash between phases
         assert!(!crashed.completed);
         // The updater is now dead and the tables are skewed. Progress
         // depends entirely on a checker escalating and repairing.
         while t.repair_count() == 0 {
+            std::thread::yield_now();
+        }
+        // Every checker must finish an iteration after the repair.
+        let repaired_at: Vec<u64> = iters.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+        while iters.iter().zip(&repaired_at).any(|(n, &at)| n.load(Ordering::Relaxed) <= at) {
             std::thread::yield_now();
         }
         stop.store(1, Ordering::Relaxed);

@@ -333,7 +333,7 @@ fn violation_log_capacity_is_exact_at_the_boundary() {
 
 /// Repeated load failures must not leak: every rejected `dlopen` bumps
 /// `load_rollbacks` by exactly one, moves the sandbox generation
-/// strictly forward (so stale icache entries die), and leaves the
+/// strictly forward (so stale translated blocks die), and leaves the
 /// GOT/PLT area byte-for-byte untouched — after which a clean attempt
 /// still succeeds.
 #[test]

@@ -1,9 +1,11 @@
-//! Differential predecode tests: every synthetic SPEC-like workload
-//! runs twice — predecode cache on and predecode cache off — with the
-//! *same* randomized fault plan armed and the scripted updater opening
-//! mixed-version windows mid-run. The cache is a pure fetch
-//! memoization, so the two runs must be observationally identical down
-//! to the audit log and the exact sequence of faults that fired.
+//! Differential tests: every synthetic SPEC-like workload runs twice —
+//! on the translated tier and on the reference interpreter, or through
+//! a shared image and through private tables — with the *same*
+//! randomized fault plan armed and the scripted updater opening
+//! mixed-version windows mid-run. The two runs must be observationally
+//! identical down to the audit log and the exact sequence of faults
+//! that fired. A checkpoint restored on the tier must likewise resume
+//! to exactly what an uninterrupted reference run produces.
 //!
 //! Seeds 1–3 are fixed (the ISSUE's contract); `MCFI_CHAOS_SEED` shifts
 //! the whole matrix for CI soak runs.
@@ -30,21 +32,11 @@ const UPDATE_WINDOW: u64 = 1_000;
 /// retries) still ends promptly.
 const STEP_BUDGET: u64 = 12_000_000;
 
-/// One instrumented run: boot, arm the plan, run with scripted updates,
-/// return the report plus the two chaos-visible logs.
-fn observe(src: &str, predecode: bool, plan: FaultPlan) -> (RunResult, Vec<String>, Vec<String>) {
-    observe_tier(src, predecode, false, plan)
-}
-
-/// Like [`observe`], but also selecting the baseline-compiled tier.
-fn observe_tier(
-    src: &str,
-    predecode: bool,
-    translate: bool,
-    plan: FaultPlan,
-) -> (RunResult, Vec<String>, Vec<String>) {
+/// One instrumented run on the translated tier or the reference
+/// interpreter: boot, arm the plan, run with scripted updates, return
+/// the report plus the two chaos-visible logs.
+fn observe(src: &str, translate: bool, plan: FaultPlan) -> (RunResult, Vec<String>, Vec<String>) {
     let proc_opts = ProcessOptions {
-        predecode,
         translate,
         max_steps: STEP_BUDGET,
         violation_policy: ViolationPolicy::Audit,
@@ -65,39 +57,14 @@ fn observe_tier(
     (r, records, fired)
 }
 
-/// The equality contract. Everything the guest, the auditor, or the
-/// chaos harness can observe must match; only the cache counters may
-/// (and must) differ.
-fn assert_differential(what: &str, src: &str, seed: u64) {
-    let plan = FaultPlan::random(seed, 4);
-    let (on, log_on, fired_on) = observe(src, true, plan.clone());
-    let (off, log_off, fired_off) = observe(src, false, plan);
-
-    assert_eq!(on.outcome, off.outcome, "{what}: outcome");
-    assert_eq!(on.stdout, off.stdout, "{what}: stdout");
-    assert_eq!(on.steps, off.steps, "{what}: steps");
-    assert_eq!(on.cycles, off.cycles, "{what}: cycles");
-    assert_eq!(on.checks, off.checks, "{what}: checks");
-    assert_eq!(on.indirect_taken, off.indirect_taken, "{what}: indirect branches");
-    assert_eq!(on.updates, off.updates, "{what}: updates");
-    assert_eq!(on.check_retries, off.check_retries, "{what}: guest check retries");
-    assert_eq!(on.audited_violations, off.audited_violations, "{what}: audited violations");
-    assert_eq!(log_on, log_off, "{what}: violation log");
-    assert_eq!(fired_on, fired_off, "{what}: fired faults");
-
-    assert_eq!(off.icache_hits, 0, "{what}: uncached run must not touch the cache");
-    assert!(on.icache_hits > 0, "{what}: cached run must actually hit");
-}
-
-/// The translation equality contract: same observables as
-/// [`assert_differential`], with the cache clause swapped for the
-/// tier's — the interpreted arm must never dispatch a translated block,
-/// the translated arm must actually run on the tier. Both arms fetch
-/// through the predecode cache, so the only variable is translation.
+/// The translation equality contract. Everything the guest, the
+/// auditor, or the chaos harness can observe must match; the
+/// interpreted arm must never dispatch a translated block, and the
+/// translated arm must actually run on the tier.
 fn assert_translation_differential(what: &str, src: &str, seed: u64) {
     let plan = FaultPlan::random(seed, 4);
-    let (trans, log_t, fired_t) = observe_tier(src, true, true, plan.clone());
-    let (interp, log_i, fired_i) = observe_tier(src, true, false, plan);
+    let (trans, log_t, fired_t) = observe(src, true, plan.clone());
+    let (interp, log_i, fired_i) = observe(src, false, plan);
 
     assert_eq!(trans.outcome, interp.outcome, "{what}: outcome");
     assert_eq!(trans.stdout, interp.stdout, "{what}: stdout");
@@ -158,7 +125,7 @@ fn observe_shared(src: &str, plan: FaultPlan) -> (RunResult, Vec<String>, Vec<St
 fn assert_shared_differential(what: &str, src: &str, seed: u64) {
     let plan = FaultPlan::random(seed, 4);
     let (shared, log_s, fired_s) = observe_shared(src, plan.clone());
-    let (private, log_p, fired_p) = observe(src, ProcessOptions::default().predecode, plan);
+    let (private, log_p, fired_p) = observe(src, true, plan);
 
     assert_eq!(shared.outcome, private.outcome, "{what}: outcome");
     assert_eq!(shared.stdout, private.stdout, "{what}: stdout");
@@ -212,31 +179,12 @@ fn violating_program_audit_logs_are_sharing_invariant() {
         let seed = seed_base() + k;
         let plan = FaultPlan::random(seed, 4);
         let (shared, log_s, fired_s) = observe_shared(src, plan.clone());
-        let (private, log_p, fired_p) =
-            observe(src, ProcessOptions::default().predecode, plan);
+        let (private, log_p, fired_p) = observe(src, true, plan);
         assert_eq!(shared.outcome, private.outcome, "seed {seed}: outcome");
         assert_eq!(shared.audited_violations, private.audited_violations, "seed {seed}");
         assert!(shared.audited_violations >= 60, "seed {seed}: every hijacked call audited");
         assert_eq!(log_s, log_p, "seed {seed}: violation log");
         assert_eq!(fired_s, fired_p, "seed {seed}: fired faults");
-    }
-}
-
-/// The full matrix: all twelve workloads under seeds 1–3 each. The
-/// workloads are the `Fixed` variant (clean under MCFI), so the audit
-/// logs stay empty unless a fault corrupts a table — which is exactly
-/// what the chaos plan arranges and what both runs must agree on.
-#[test]
-fn workloads_are_predecode_invariant_under_chaos() {
-    for bench in BENCHMARKS {
-        let src = source(bench, Variant::Fixed);
-        for k in 1..=3u64 {
-            assert_differential(
-                &format!("{bench} seed {k}"),
-                &src,
-                seed_base() + k,
-            );
-        }
     }
 }
 
@@ -260,33 +208,6 @@ fn workloads_are_translation_invariant_under_chaos() {
     }
 }
 
-/// A program whose every loop iteration commits a CFI violation (a
-/// call through a pointer bound to an incompatibly-typed function):
-/// under the audit policy its logs are non-empty, so this case proves
-/// the record-for-record comparison above is not vacuous.
-#[test]
-fn violating_program_audit_logs_are_predecode_invariant() {
-    let src = "float g(float x) { return x; }\n\
-         int main(void) {\n\
-           void* raw = (void*)&g;\n\
-           int (*f)(int) = (int(*)(int))raw;\n\
-           int acc = 0; int i = 0;\n\
-           while (i < 60) { acc = acc + f(i); i = i + 1; }\n\
-           return 7;\n\
-         }";
-    for k in 1..=3u64 {
-        let seed = seed_base() + k;
-        let plan = FaultPlan::random(seed, 4);
-        let (on, log_on, fired_on) = observe(src, true, plan.clone());
-        let (off, log_off, fired_off) = observe(src, false, plan);
-        assert_eq!(on.outcome, off.outcome, "seed {seed}: outcome");
-        assert_eq!(on.audited_violations, off.audited_violations, "seed {seed}");
-        assert!(on.audited_violations >= 60, "seed {seed}: every hijacked call audited");
-        assert_eq!(log_on, log_off, "seed {seed}: violation log");
-        assert_eq!(fired_on, fired_off, "seed {seed}: fired faults");
-    }
-}
-
 /// The violating program again, baseline-compiled vs interpreted: the
 /// tier's specialized fast path must reject exactly the calls the
 /// interpreter's full TxCheck rejects, record for record. (The hijacked
@@ -305,6 +226,74 @@ fn violating_program_audit_logs_are_translation_invariant() {
     for k in 1..=3u64 {
         let seed = seed_base() + k;
         assert_translation_differential(&format!("violating seed {seed} (translated)"), src, seed);
+    }
+}
+
+/// A guest whose `dlopen` lands mid-run, so its in-run checkpoints fall
+/// on both sides of a TxUpdate and a sandbox generation bump.
+const DLOPEN_GUEST: &str = "int provided(int x);\n\
+     int dlopen(char* name);\n\
+     int spin(int n) { int a = 0; int i = 0;\n\
+       while (i < n) { a = a + i; i = i + 1; } return a; }\n\
+     int main(void) {\n\
+       int warm = spin(1000);\n\
+       int ok = dlopen(\"libm2\");\n\
+       if (!ok) { return -1; }\n\
+       return (provided(5) + spin(1000) - warm) % 125;\n\
+     }";
+
+/// Boots `src` with `libm2` registered for [`DLOPEN_GUEST`] to load.
+fn boot_checkpointed(src: &str, translate: bool, checkpoint_interval: u64) -> System {
+    let build = BuildOptions::default();
+    let proc_opts = ProcessOptions {
+        translate,
+        checkpoint_interval,
+        max_steps: STEP_BUDGET,
+        ..Default::default()
+    };
+    let mut sys = System::boot_source_with(src, &build, proc_opts).expect("boots");
+    let lib = compile_module("libm2", "int provided(int x) { return x + 100; }", &build)
+        .expect("library compiles");
+    sys.register_library("libm2", lib);
+    sys
+}
+
+/// Checkpoint/restore on the translated tier: every in-run checkpoint
+/// of a translated run, restored and resumed on the tier, must finish
+/// exactly as an uninterrupted reference-interpreter run does. The
+/// restore bumps the sandbox generation, so each resumption also
+/// deoptimizes the blocks the first run left live and retranslates.
+#[test]
+fn checkpoints_restored_on_the_tier_resume_exactly() {
+    let cases = [
+        ("dlopen", DLOPEN_GUEST.to_string()),
+        ("mcf", source("mcf", Variant::Fixed)),
+        ("lbm", source("lbm", Variant::Fixed)),
+    ];
+    for (name, src) in &cases {
+        let reference = boot_checkpointed(src, false, 0).process().run("__start").expect("runs");
+        let mut sys = boot_checkpointed(src, true, reference.steps / 3 + 1);
+        let first = sys.process().run("__start").expect("runs");
+        let cps = sys.process().checkpoints().to_vec();
+        assert_eq!(cps.len(), 2, "{name}: one checkpoint per third of the run");
+        for cp in &cps {
+            let at = cp.steps();
+            assert!(cp.resumable() && at > 0 && at < reference.steps, "{name}: mid-run");
+            sys.process().restore(cp).expect("restore succeeds");
+            let resumed = sys.process().run("__start").expect("runs");
+            let what = format!("{name} resumed at step {at}");
+            assert_eq!(resumed.outcome, reference.outcome, "{what}: outcome");
+            assert_eq!(resumed.stdout, reference.stdout, "{what}: stdout");
+            assert_eq!(resumed.steps, reference.steps, "{what}: steps");
+            assert_eq!(resumed.cycles, reference.cycles, "{what}: cycles");
+            assert_eq!(resumed.checks, reference.checks, "{what}: checks");
+            assert_eq!(resumed.indirect_taken, reference.indirect_taken, "{what}: indirect");
+            assert_eq!(
+                resumed.trans_deopts,
+                first.trans_deopts + 1,
+                "{what}: the restore must retire live blocks and resume on the tier"
+            );
+        }
     }
 }
 
