@@ -135,4 +135,33 @@ mod tests {
         // Deterministic replay, storm and all.
         assert_eq!(mk(5).stats(), mk(5).stats());
     }
+
+    /// The incrementality gate: once a tenant is warm, the checkpoint
+    /// `Supervisor::run` takes before each request copies only the pages
+    /// the previous request dirtied, never whole regions.
+    #[test]
+    fn steady_state_checkpoints_copy_only_dirtied_pages() {
+        let spec = tenant_spec("ckpt");
+        let mut p = mcfi_runtime::Process::new(spec.options).expect("valid layout");
+        p.load_all(spec.modules).expect("loads");
+        for (lib, module) in spec.libraries {
+            p.register_library(&lib, module);
+        }
+        let mut sup = mcfi_supervisor::Supervisor::new(p, spec.recovery);
+        // Past the tenant's one self-reload, within its first 17 requests.
+        for _ in 0..24 {
+            sup.run(&spec.entry).expect("serves");
+        }
+        let copied: Vec<usize> = (0..32)
+            .map(|_| {
+                sup.run(&spec.entry).expect("serves");
+                let cp = sup.process().checkpoints().last().expect("checkpointed");
+                cp.pages_copied()
+            })
+            .collect();
+        assert!(
+            copied.iter().all(|&n| (1..=8).contains(&n)),
+            "pages copied per request: {copied:?}"
+        );
+    }
 }

@@ -643,6 +643,41 @@ mod tests {
     }
 
     #[test]
+    fn restore_rehashes_stored_pages_and_refuses_a_corrupt_one() {
+        // A stored page altered after capture keeps its cached hash, so
+        // the recorded digest still matches it; only a restore that
+        // rehashes the stored bytes notices.
+        let src = "int g;\n\
+                   int main(void) { g = g + 1; return g; }";
+        let mut p = boot(src);
+        p.run("__start").unwrap();
+        let good = p.checkpoint_now().clone();
+        let mut bad = good.clone();
+        bad.mem_mut().corrupt_byte(ProcessOptions::default().layout.data_base as usize);
+        assert_eq!(bad.digest(), good.digest(), "the recorded digest cannot see it");
+        let second = p.run("__start").unwrap();
+        assert_eq!(second.outcome, Outcome::Exit { code: 2 });
+
+        let raw = p.mem().raw().to_vec();
+        let regions = p.mem().regions().to_vec();
+        let (version, restores) = (p.tables().current_version(), p.restores());
+        match p.restore(&bad) {
+            Err(RestoreError::Corrupt { expected, actual }) => {
+                assert_eq!(expected, good.digest());
+                assert_ne!(actual, expected);
+            }
+            other => panic!("a corrupt page must be refused, got {other:?}"),
+        }
+        assert!(p.mem().raw() == &raw[..], "a refused restore writes no byte");
+        assert_eq!(p.mem().regions(), &regions[..]);
+        assert_eq!(p.tables().current_version(), version, "no update transaction ran");
+        assert_eq!(p.restores(), restores);
+
+        p.restore(&good).expect("the intact checkpoint restores");
+        assert_eq!(p.run("__start").unwrap().outcome, Outcome::Exit { code: 2 });
+    }
+
+    #[test]
     fn step_limit_terminates_infinite_loops() {
         let mut p = Process::new(ProcessOptions { max_steps: 10_000, ..Default::default() })
             .expect("valid layout");

@@ -6,8 +6,49 @@
 //! writes into; in this reproduction its backing store is a smaller
 //! configurable buffer, with every access bounds- and permission-checked.
 
-use core::cell::Cell;
+use core::cell::{Cell, RefCell};
 use core::fmt;
+use std::sync::Arc;
+
+/// Granularity of dirty tracking and of snapshot sharing.
+const PAGE_SIZE: usize = 4096;
+const PAGE_SHIFT: u32 = PAGE_SIZE.trailing_zeros();
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// The image digest: the page hashes and the region table folded into
+/// one word. Folding a page hash is one xor-multiply, a bijection of
+/// the running state, so changing any single page hash changes the
+/// digest.
+fn fold_digest(hashes: &[u64], regions: &[Region]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for &ph in hashes {
+        h = (h ^ ph).wrapping_mul(FNV_PRIME);
+    }
+    for r in regions {
+        h = fnv(h, &r.start.to_le_bytes());
+        h = fnv(h, &r.end.to_le_bytes());
+        h = fnv(
+            h,
+            &[match r.perm {
+                Perm::R => 0,
+                Perm::Rw => 1,
+                Perm::Rx => 2,
+            }],
+        );
+    }
+    h
+}
 
 /// Region permissions.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -82,9 +123,24 @@ impl fmt::Display for MemFault {
 impl std::error::Error for MemFault {}
 
 /// The sandboxed memory image.
+///
+/// Beside the flat backing store the sandbox keeps a page cache for
+/// cheap snapshots: one shared copy and one FNV hash per 4 KiB page,
+/// as of the last [`Sandbox::snapshot`] or [`Sandbox::restore`], plus
+/// a dirty mark per page. Every mutation of the backing store marks the
+/// pages it starts on or covers, so a page whose mark and whose
+/// predecessor's mark are clear still equals its cached copy (debug
+/// builds check this on every snapshot), and a snapshot re-copies and
+/// rehashes only marked pages and any page after one whose first bytes
+/// changed.
 #[derive(Debug)]
 pub struct Sandbox {
     bytes: Vec<u8>,
+    /// One mark per page: written since the page cache last matched it.
+    /// The write barrier is one unconditional store per guest write.
+    dirty: Box<[Cell<bool>]>,
+    /// Behind a `RefCell` so `snapshot` keeps taking `&self`.
+    cache: RefCell<PageCache>,
     regions: Vec<Region>,
     /// Code-visibility generation: bumped by every operation that can
     /// change what an instruction fetch observes — mapping or
@@ -102,11 +158,57 @@ pub struct Sandbox {
     data_hint: Cell<usize>,
 }
 
+/// How far a `write64` can spill past the page it starts on.
+const SPILL: usize = 7;
+
+/// Takes (and clears) the dirty marks, yielding for each page whether it
+/// was marked and whether the page before it was. A `write64` marks only
+/// the page it starts on and may spill [`SPILL`] bytes into the next, so
+/// a page after a marked one may differ from its cached copy in its
+/// first bytes. Checking those at snapshot time keeps the write barrier
+/// at one store per write.
+fn take_marks(dirty: &[Cell<bool>]) -> impl Iterator<Item = (bool, bool)> + '_ {
+    let mut prev = false;
+    dirty.iter().map(move |d| {
+        let marked = d.replace(false);
+        (marked, core::mem::replace(&mut prev, marked))
+    })
+}
+
+/// Per-page copies and hashes shared with the snapshots taken from them.
+#[derive(Debug)]
+struct PageCache {
+    pages: Vec<Arc<[u8]>>,
+    hashes: Vec<u64>,
+}
+
+/// The byte range of page `i` in a backing store of `size` bytes (the
+/// last page is short when `size` is not a multiple of the page size).
+fn page_range(i: usize, size: usize) -> core::ops::Range<usize> {
+    let start = i << PAGE_SHIFT;
+    start..size.min(start + PAGE_SIZE)
+}
+
 impl Sandbox {
     /// Creates a sandbox backed by `size` bytes (all initially unmapped).
     pub fn new(size: usize) -> Self {
+        // Every page starts as one shared zero page (a short tail page
+        // gets its own), so a fresh sandbox hashes each length once.
+        let npages = size.div_ceil(PAGE_SIZE);
+        let full = size / PAGE_SIZE;
+        let zero: Arc<[u8]> = Arc::from(vec![0u8; PAGE_SIZE]);
+        let zero_hash = fnv(FNV_OFFSET, &zero);
+        let mut pages = vec![zero; full];
+        let mut hashes = vec![zero_hash; full];
+        if npages > full {
+            let tail = vec![0u8; size - full * PAGE_SIZE];
+            hashes.push(fnv(FNV_OFFSET, &tail));
+            pages.push(Arc::from(tail));
+        }
         Sandbox {
             bytes: vec![0; size],
+            dirty: (0..npages).map(|_| Cell::new(false)).collect(),
+            cache: RefCell::new(PageCache { pages, hashes }),
             regions: Vec::new(),
             generation: 0,
             data_hint: Cell::new(usize::MAX),
@@ -229,6 +331,11 @@ impl Sandbox {
     pub fn write8(&mut self, addr: u64, v: u8) -> Result<(), MemFault> {
         self.check(addr, 1, true)?;
         self.bytes[addr as usize] = v;
+        // `check` bounded `addr`, so the mark exists; `get` keeps a panic
+        // path out of this inlined hot path.
+        if let Some(d) = self.dirty.get(addr as usize >> PAGE_SHIFT) {
+            d.set(true);
+        }
         Ok(())
     }
 
@@ -242,6 +349,11 @@ impl Sandbox {
         self.check(addr, 8, true)?;
         let a = addr as usize;
         self.bytes[a..a + 8].copy_from_slice(&v.to_le_bytes());
+        // One store even when the write straddles into the next page:
+        // see `take_marks`.
+        if let Some(d) = self.dirty.get(a >> PAGE_SHIFT) {
+            d.set(true);
+        }
         Ok(())
     }
 
@@ -266,6 +378,7 @@ impl Sandbox {
             return Err(MemFault::OutOfMemory);
         }
         self.bytes[addr as usize..end].copy_from_slice(bytes);
+        self.mark_dirty(addr as usize, end);
         self.generation += 1;
         Ok(())
     }
@@ -292,21 +405,79 @@ impl Sandbox {
         Ok(String::from_utf8_lossy(&out).into_owned())
     }
 
-    /// Captures the full memory image and region table, for transactional
-    /// operations (a dynamic load that may have to be undone).
+    /// Marks every page overlapping `[start, end)` dirty.
+    fn mark_dirty(&self, start: usize, end: usize) {
+        if start < end {
+            for d in &self.dirty[start >> PAGE_SHIFT..=(end - 1) >> PAGE_SHIFT] {
+                d.set(true);
+            }
+        }
+    }
+
+    /// Captures the memory image and region table, for checkpoints and
+    /// transactional operations (a dynamic load that may have to be
+    /// undone).
+    ///
+    /// Only dirty pages are copied and rehashed into the page cache (and
+    /// a page after a dirty one whose first bytes changed, see
+    /// `take_marks`); every other page is shared with the cache and with
+    /// earlier snapshots.
     pub fn snapshot(&self) -> SandboxSnapshot {
-        SandboxSnapshot { bytes: self.bytes.clone(), regions: self.regions.clone() }
+        let size = self.bytes.len();
+        let mut cache = self.cache.borrow_mut();
+        debug_assert!(
+            (0..self.dirty.len()).all(|i| {
+                let from = if i > 0 && self.dirty[i - 1].get() { SPILL } else { 0 };
+                let range = page_range(i, size);
+                self.dirty[i].get()
+                    || cache.pages[i].get(from..) == self.bytes.get(range.start + from..range.end)
+            }),
+            "a sandbox page changed without a dirty mark"
+        );
+        let mut copied = 0;
+        for (i, (marked, spilled)) in take_marks(&self.dirty).enumerate() {
+            if !marked && !spilled {
+                continue;
+            }
+            let page = &self.bytes[page_range(i, size)];
+            // A page reached only by a spill can differ only in its head.
+            let head = SPILL.min(page.len());
+            if !marked && cache.pages[i][..head] == page[..head] {
+                continue;
+            }
+            cache.pages[i] = Arc::from(page);
+            cache.hashes[i] = fnv(FNV_OFFSET, page);
+            copied += 1;
+        }
+        SandboxSnapshot {
+            pages: cache.pages.clone(),
+            hashes: cache.hashes.clone(),
+            regions: self.regions.clone(),
+            copied,
+        }
     }
 
     /// Restores a [`Sandbox::snapshot`], discarding every mapping and
     /// byte written since it was taken.
     ///
+    /// Copies back only the pages that are dirty or whose cached copy
+    /// is not the snapshot's, then adopts the snapshot's pages and
+    /// hashes as the page cache.
+    ///
     /// The generation counter is *not* restored: it keeps counting
     /// forward, so translated blocks built against the discarded state
     /// can never validate against the restored one.
-    pub fn restore(&mut self, snap: SandboxSnapshot) {
-        self.bytes = snap.bytes;
-        self.regions = snap.regions;
+    pub fn restore(&mut self, snap: &SandboxSnapshot) {
+        let size = self.bytes.len();
+        let cache = self.cache.get_mut();
+        for ((i, page), (marked, spilled)) in snap.pages.iter().enumerate().zip(take_marks(&self.dirty)) {
+            if marked || spilled || !Arc::ptr_eq(&cache.pages[i], page) {
+                self.bytes[page_range(i, size)].copy_from_slice(page);
+            }
+        }
+        cache.pages.clone_from(&snap.pages);
+        cache.hashes.clone_from(&snap.hashes);
+        self.regions.clone_from(&snap.regions);
         self.generation += 1;
         self.data_hint.set(usize::MAX);
     }
@@ -316,8 +487,10 @@ impl Sandbox {
     /// any two instructions", §4).
     pub fn raw_mut(&mut self) -> &mut [u8] {
         // The caller may rewrite any byte, executable ones included, so
-        // every cached decoding is suspect afterwards.
+        // every cached decoding and every cached page is suspect
+        // afterwards.
         self.generation += 1;
+        self.mark_dirty(0, self.bytes.len());
         &mut self.bytes
     }
 
@@ -327,42 +500,51 @@ impl Sandbox {
     }
 }
 
-/// An owned copy of a sandbox's memory image and region table (see
-/// [`Sandbox::snapshot`]).
+/// A sandbox's memory image, as shared pages with their hashes, and
+/// its region table (see [`Sandbox::snapshot`]). Pages the sandbox did
+/// not write between two snapshots are the same allocation in both.
 #[derive(Clone, Debug)]
 pub struct SandboxSnapshot {
-    bytes: Vec<u8>,
+    pages: Vec<Arc<[u8]>>,
+    /// Page hashes as cached at capture.
+    hashes: Vec<u64>,
     regions: Vec<Region>,
+    /// Pages copied out of the sandbox by this capture.
+    copied: usize,
 }
 
 impl SandboxSnapshot {
-    /// A content digest (FNV-1a over the image and region table) for
-    /// integrity-checking stored snapshots: a checkpoint records the
-    /// digest at capture time and verifies it before restoring, so a
-    /// corrupted checkpoint is detected instead of silently resuming
-    /// from garbage.
+    /// The digest as recorded at capture: the cached page hashes and the
+    /// region table folded together, so clean pages are not rehashed.
+    pub(crate) fn recorded_digest(&self) -> u64 {
+        fold_digest(&self.hashes, &self.regions)
+    }
+
+    /// A content digest for integrity-checking stored snapshots, the
+    /// verifying counterpart of `SandboxSnapshot::recorded_digest`:
+    /// every page hash is recomputed (FNV-1a) from the stored bytes
+    /// before folding. A checkpoint records the digest at capture time
+    /// and verifies it before restoring, so a corrupted checkpoint is
+    /// detected instead of silently resuming from garbage.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        };
-        for &b in &self.bytes {
-            eat(b);
-        }
-        for r in &self.regions {
-            for b in r.start.to_le_bytes().into_iter().chain(r.end.to_le_bytes()) {
-                eat(b);
-            }
-            eat(match r.perm {
-                Perm::R => 0,
-                Perm::Rw => 1,
-                Perm::Rx => 2,
-            });
-        }
-        h
+        let hashes: Vec<u64> = self.pages.iter().map(|p| fnv(FNV_OFFSET, p)).collect();
+        fold_digest(&hashes, &self.regions)
+    }
+
+    /// Pages this snapshot copied out of the sandbox at capture (the
+    /// rest are shared with earlier snapshots).
+    pub(crate) fn pages_copied(&self) -> usize {
+        self.copied
+    }
+
+    /// Overwrites one byte of a stored page in place, leaving its
+    /// recorded hash stale (test use: models storage corruption).
+    #[cfg(test)]
+    pub(crate) fn corrupt_byte(&mut self, addr: usize) {
+        let page = &mut self.pages[addr >> PAGE_SHIFT];
+        let mut bytes = page.to_vec();
+        bytes[addr % PAGE_SIZE] ^= 0xff;
+        *page = Arc::from(bytes);
     }
 }
 
@@ -380,7 +562,7 @@ mod tests {
         m.write64(0x10, 99).unwrap();
         m.map(0x200, 0x100, Perm::Rx).unwrap();
         m.load_image(0x200, &[1, 2, 3]).unwrap();
-        m.restore(snap);
+        m.restore(&snap);
         assert_eq!(m.read64(0x10).unwrap(), 7, "bytes roll back");
         assert!(m.region_of(0x200).is_none(), "mappings roll back");
         assert!(
@@ -477,6 +659,100 @@ mod tests {
         m.write64(0x200, 42).unwrap();
         m.write8(0x208, 7).unwrap();
         assert_eq!(m.generation(), g5, "data writes must not bump the generation");
+    }
+
+    /// Model test: a `Sandbox` and a flat byte vector driven through the
+    /// same random operations stay byte-identical, whatever mix of
+    /// snapshots and restores of older snapshots the incremental page
+    /// cache goes through.
+    #[test]
+    fn incremental_snapshots_match_a_flat_model() {
+        const SIZE: usize = 5 * PAGE_SIZE + 1234; // a short tail page
+        for seed in 1..=4u64 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut rand = move |n: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % n as u64) as usize
+            };
+            let mut m = Sandbox::new(SIZE);
+            let mut model = vec![0u8; SIZE];
+            m.map(0, 2 * PAGE_SIZE as u64 + 100, Perm::Rw).unwrap();
+            m.map(3 * PAGE_SIZE as u64, 2 * PAGE_SIZE as u64 + 1000, Perm::Rw).unwrap();
+            let mut retained: Vec<(SandboxSnapshot, Vec<u8>, Vec<Region>)> = Vec::new();
+            for step in 0..3000 {
+                let ctx = format!("seed {seed} step {step}");
+                match rand(9) {
+                    0 => {
+                        let a = rand(SIZE);
+                        let v = rand(256) as u8;
+                        if m.write8(a as u64, v).is_ok() {
+                            model[a] = v;
+                        }
+                    }
+                    1 => {
+                        // Straddle a page boundary by 1..=7 bytes.
+                        let a = (1 + rand(SIZE / PAGE_SIZE)) * PAGE_SIZE - 1 - rand(7);
+                        let v = (rand(1 << 30) as u64) << 17 | 0xa5;
+                        if m.write64(a as u64, v).is_ok() {
+                            model[a..a + 8].copy_from_slice(&v.to_le_bytes());
+                        }
+                    }
+                    2 => {
+                        let a = rand(SIZE);
+                        let bytes: Vec<u8> =
+                            (0..rand(3 * PAGE_SIZE)).map(|_| rand(256) as u8).collect();
+                        if m.load_image(a as u64, &bytes).is_ok() {
+                            model[a..a + bytes.len()].copy_from_slice(&bytes);
+                        }
+                    }
+                    3 => {
+                        let raw = m.raw_mut();
+                        for _ in 0..rand(4) {
+                            let a = rand(SIZE);
+                            raw[a] = raw[a].wrapping_add(1);
+                            model[a] = model[a].wrapping_add(1);
+                        }
+                    }
+                    4 => {
+                        let start = rand(SIZE) as u64;
+                        let _ = m.map(start, rand(2 * PAGE_SIZE) as u64 + 1, Perm::Rw);
+                    }
+                    5 => {
+                        if let Some(r) = m.regions().get(rand(m.regions().len().max(1))).copied() {
+                            let perm = [Perm::R, Perm::Rw, Perm::Rx][rand(3)];
+                            m.protect(r.start, perm).unwrap();
+                        }
+                    }
+                    6 | 7 => {
+                        let snap = m.snapshot();
+                        assert_eq!(snap.digest(), snap.recorded_digest(), "{ctx}");
+                        let again = m.snapshot();
+                        assert_eq!(again.pages_copied(), 0, "{ctx}: nothing dirtied in between");
+                        if retained.len() == 6 {
+                            retained.remove(rand(6));
+                        }
+                        retained.push((snap, model.clone(), m.regions().to_vec()));
+                    }
+                    _ => {
+                        if !retained.is_empty() {
+                            let (snap, bytes, regions) = &retained[rand(retained.len())];
+                            m.restore(snap);
+                            model.clone_from(bytes);
+                            assert_eq!(m.regions(), &regions[..], "{ctx}");
+                        }
+                    }
+                }
+                assert!(m.raw() == &model[..], "{ctx}: sandbox diverged from the model");
+            }
+            for (snap, bytes, _) in &retained {
+                let ctx = format!("seed {seed}: a shared page changed");
+                assert_eq!(snap.digest(), snap.recorded_digest(), "{ctx}");
+                m.restore(snap);
+                assert!(m.raw() == &bytes[..], "seed {seed}: late restore diverged");
+            }
+        }
     }
 
     #[test]

@@ -449,8 +449,8 @@ pub struct Checkpoint {
     /// VM register state for resumable in-run checkpoints (`None` for
     /// between-run checkpoints — restore then re-runs from the entry).
     vm: Option<VmState>,
-    modules: Vec<LoadedModule>,
-    registry: HashMap<String, LibraryEntry>,
+    modules: Arc<Vec<LoadedModule>>,
+    registry: Arc<HashMap<String, LibraryEntry>>,
     got: BTreeMap<String, u64>,
     plt: BTreeMap<String, u64>,
     next_code: u64,
@@ -458,7 +458,7 @@ pub struct Checkpoint {
     got_next: u64,
     brk: u64,
     total_slots: usize,
-    env: TypeEnv,
+    env: Arc<TypeEnv>,
     stdout: Vec<u8>,
     execve_reached: bool,
     violations: ViolationLog,
@@ -487,6 +487,18 @@ impl Checkpoint {
     /// The memory-image digest recorded at capture.
     pub fn digest(&self) -> u64 {
         self.digest
+    }
+
+    /// Sandbox pages this checkpoint copied at capture; every other page
+    /// is shared with earlier snapshots.
+    pub fn pages_copied(&self) -> usize {
+        self.mem.pages_copied()
+    }
+
+    /// The stored memory snapshot (test use: corrupting it in place).
+    #[cfg(test)]
+    pub(crate) fn mem_mut(&mut self) -> &mut SandboxSnapshot {
+        &mut self.mem
     }
 
     /// The table version at capture (diagnostic — restore never rolls
@@ -609,8 +621,11 @@ pub struct Process {
     opts: ProcessOptions,
     mem: Sandbox,
     tables: Arc<IdTables>,
-    modules: Vec<LoadedModule>,
-    registry: HashMap<String, LibraryEntry>,
+    /// Loader state is copy-on-write (`Arc::make_mut` at each mutation),
+    /// so checkpoints and load transactions share it instead of
+    /// deep-cloning it.
+    modules: Arc<Vec<LoadedModule>>,
+    registry: Arc<HashMap<String, LibraryEntry>>,
     /// symbol -> GOT slot address (for PLT-routed imports).
     got: BTreeMap<String, u64>,
     /// symbol -> PLT stub entry address.
@@ -622,7 +637,7 @@ pub struct Process {
     total_slots: usize,
     /// Union of all loaded modules' type environments, grown at load time
     /// so clashes surface as load errors (not CFG-generation panics).
-    env: TypeEnv,
+    env: Arc<TypeEnv>,
     stdout: Vec<u8>,
     execve_reached: bool,
     updates: u64,
@@ -673,7 +688,7 @@ struct LoadTx {
     next_data: u64,
     got_next: u64,
     total_slots: usize,
-    env: TypeEnv,
+    env: Arc<TypeEnv>,
 }
 
 /// Rejects inconsistent [`Layout`]s before any of their arithmetic runs:
@@ -763,8 +778,8 @@ impl Process {
             opts,
             mem,
             tables,
-            modules: Vec::new(),
-            registry: HashMap::new(),
+            modules: Arc::default(),
+            registry: Arc::default(),
             got: BTreeMap::new(),
             plt: BTreeMap::new(),
             next_code: l.code_base,
@@ -772,7 +787,7 @@ impl Process {
             got_next: got_area,
             brk: l.heap_base,
             total_slots: 0,
-            env: TypeEnv::new(),
+            env: Arc::default(),
             stdout: Vec::new(),
             execve_reached: false,
             updates: 0,
@@ -853,7 +868,7 @@ impl Process {
 
     fn capture_checkpoint(&mut self, vm: Option<&Vm>) -> Checkpoint {
         let mem = self.mem.snapshot();
-        let mut digest = mem.digest();
+        let mut digest = mem.recorded_digest();
         // A corrupt checkpoint is modeled by skewing the *recorded*
         // digest: the snapshot payload is opaque to this layer, and an
         // unverifiable checkpoint is exactly what storage corruption
@@ -866,8 +881,8 @@ impl Process {
             mem,
             digest,
             vm: vm.map(Vm::snapshot),
-            modules: self.modules.clone(),
-            registry: self.registry.clone(),
+            modules: Arc::clone(&self.modules),
+            registry: Arc::clone(&self.registry),
             got: self.got.clone(),
             plt: self.plt.clone(),
             next_code: self.next_code,
@@ -875,7 +890,7 @@ impl Process {
             got_next: self.got_next,
             brk: self.brk,
             total_slots: self.total_slots,
-            env: self.env.clone(),
+            env: Arc::clone(&self.env),
             stdout: self.stdout.clone(),
             execve_reached: self.execve_reached,
             violations: self.violations.clone(),
@@ -913,9 +928,9 @@ impl Process {
         if actual != cp.digest {
             return Err(RestoreError::Corrupt { expected: cp.digest, actual });
         }
-        self.mem.restore(cp.mem.clone());
-        self.modules = cp.modules.clone();
-        self.registry = cp.registry.clone();
+        self.mem.restore(&cp.mem);
+        self.modules = Arc::clone(&cp.modules);
+        self.registry = Arc::clone(&cp.registry);
         self.got = cp.got.clone();
         self.plt = cp.plt.clone();
         self.next_code = cp.next_code;
@@ -923,7 +938,7 @@ impl Process {
         self.got_next = cp.got_next;
         self.brk = cp.brk;
         self.total_slots = cp.total_slots;
-        self.env = cp.env.clone();
+        self.env = Arc::clone(&cp.env);
         self.stdout = cp.stdout.clone();
         self.execve_reached = cp.execve_reached;
         self.violations = cp.violations.clone();
@@ -1095,7 +1110,8 @@ impl Process {
     /// of loadable libraries). The module is trusted: it skips the
     /// admission pipeline and loads through [`Process::load`].
     pub fn register_library(&mut self, file_name: &str, module: Module) {
-        self.registry.insert(file_name.to_string(), LibraryEntry::Decoded(Box::new(module)));
+        Arc::make_mut(&mut self.registry)
+            .insert(file_name.to_string(), LibraryEntry::Decoded(Box::new(module)));
     }
 
     /// Registers an *untrusted* serialized module image that `dlopen`
@@ -1106,7 +1122,7 @@ impl Process {
     /// transaction, so a hostile image is rejected with `dlopen`
     /// returning 0 and the process state untouched.
     pub fn register_library_image(&mut self, file_name: &str, image: Vec<u8>) {
-        self.registry.insert(file_name.to_string(), LibraryEntry::Image(image));
+        Arc::make_mut(&mut self.registry).insert(file_name.to_string(), LibraryEntry::Image(image));
     }
 
     /// Untrusted images refused by the admission pipeline (process
@@ -1127,7 +1143,7 @@ impl Process {
 
     /// Resolves a global variable to its absolute data address.
     pub fn global(&self, name: &str) -> Option<u64> {
-        for lm in &self.modules {
+        for lm in self.modules.iter() {
             if let Some(g) = lm.module.globals.get(name) {
                 return Some(lm.data_base + g.offset as u64);
             }
@@ -1191,7 +1207,7 @@ impl Process {
 
     /// Resolves an exported function to its absolute address.
     pub fn symbol(&self, name: &str) -> Option<u64> {
-        for lm in &self.modules {
+        for lm in self.modules.iter() {
             if let Some(f) = lm.module.functions.get(name) {
                 if f.size > 0 && !f.is_static {
                     return Some(lm.code_base + f.offset as u64);
@@ -1208,7 +1224,7 @@ impl Process {
                 return Some(own.code_base + f.offset as u64);
             }
         }
-        for lm in &self.modules {
+        for lm in self.modules.iter() {
             if let Some(f) = lm.module.functions.get(name) {
                 if f.size > 0 && !f.is_static {
                     return Some(lm.code_base + f.offset as u64);
@@ -1226,7 +1242,7 @@ impl Process {
         if name.starts_with("__str") {
             return None; // string-pool globals are module-private
         }
-        for lm in &self.modules {
+        for lm in self.modules.iter() {
             if let Some(g) = lm.module.globals.get(name) {
                 return Some(lm.data_base + g.offset as u64);
             }
@@ -1364,13 +1380,13 @@ impl Process {
             next_data: self.next_data,
             got_next: self.got_next,
             total_slots: self.total_slots,
-            env: self.env.clone(),
+            env: Arc::clone(&self.env),
         }
     }
 
     fn rollback_load(&mut self, tx: LoadTx) {
-        self.mem.restore(tx.mem);
-        self.modules.truncate(tx.modules_len);
+        self.mem.restore(&tx.mem);
+        Arc::make_mut(&mut self.modules).truncate(tx.modules_len);
         self.got = tx.got;
         self.plt = tx.plt;
         self.next_code = tx.next_code;
@@ -1408,7 +1424,7 @@ impl Process {
     fn load_no_update(&mut self, module: Module) -> Result<(), LoadError> {
         // The union of auxiliary type information must be consistent
         // before any state changes (paper §6: merging is a union).
-        self.env
+        Arc::make_mut(&mut self.env)
             .merge(&module.aux.env)
             .map_err(|e| LoadError::TypeClash(e.to_string()))?;
 
@@ -1435,7 +1451,7 @@ impl Process {
         }
 
         let module_idx = self.modules.len();
-        self.modules.push(LoadedModule { module, code_base, data_base });
+        Arc::make_mut(&mut self.modules).push(LoadedModule { module, code_base, data_base });
 
         // Assign global Bary slots and patch the BaryLoad immediates
         // ("the loader patches the code to embed constant Bary table
@@ -1600,7 +1616,7 @@ impl Process {
         self.mem
             .protect(code_base, Perm::Rx)
             .map_err(|e| LoadError::Mem(e.to_string()))?;
-        self.modules.push(LoadedModule { module: m, code_base, data_base: 0 });
+        Arc::make_mut(&mut self.modules).push(LoadedModule { module: m, code_base, data_base: 0 });
         self.plt.insert(symbol.to_string(), code_base);
         Ok(code_base)
     }
@@ -1608,15 +1624,17 @@ impl Process {
     /// Marks an exported function as address-taken (e.g. after `dlsym`
     /// hands out its address). Returns whether anything changed.
     fn mark_address_taken(&mut self, name: &str) -> bool {
-        for lm in &mut self.modules {
-            if let Some(f) = lm.module.functions.get_mut(name) {
-                if f.size > 0 && !f.is_static && !f.address_taken {
-                    f.address_taken = true;
-                    return true;
-                }
-            }
-        }
-        false
+        let eligible = |lm: &LoadedModule| {
+            lm.module
+                .functions
+                .get(name)
+                .is_some_and(|f| f.size > 0 && !f.is_static && !f.address_taken)
+        };
+        // Find first, so a repeated `dlsym` does not unshare the modules.
+        let Some(i) = self.modules.iter().position(eligible) else { return false };
+        let f = Arc::make_mut(&mut self.modules)[i].module.functions.get_mut(name);
+        f.expect("found above").address_taken = true;
+        true
     }
 
     /// Regenerates the CFG over all loaded modules and runs the update
@@ -1955,7 +1973,7 @@ impl Process {
     /// load order).
     fn branch_addr_for_slot(&self, bary_slot: usize) -> Option<u64> {
         let mut base = 0usize;
-        for lm in &self.modules {
+        for lm in self.modules.iter() {
             let branches = &lm.module.aux.indirect_branches;
             if bary_slot < base + branches.len() {
                 let b = &branches[bary_slot - base];
@@ -2046,7 +2064,7 @@ impl Process {
                             match result {
                                 Ok(()) => {
                                     self.note_load_success(&name);
-                                    self.registry.remove(&name);
+                                    Arc::make_mut(&mut self.registry).remove(&name);
                                     1
                                 }
                                 Err(e) => {

@@ -1551,38 +1551,46 @@ mod tests {
             |_| Some(1),
         );
         let stop = Arc::new(AtomicU32::new(0));
+        // Every checker is running before the first update, and each
+        // counts its finished iterations so the updater keeps going
+        // until all of them have checked against the churn.
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let iters: Arc<[AtomicU64; 3]> = Arc::new(Default::default());
         let mut handles = Vec::new();
-        for _ in 0..3 {
+        for i in 0..3 {
             let t = Arc::clone(&t);
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
+            let iters = Arc::clone(&iters);
             handles.push(std::thread::spawn(move || {
+                start.wait();
                 let mut ok = 0u64;
                 while stop.load(Ordering::Relaxed) == 0 {
                     // 8 must always be legal, 16 must never be.
                     t.check(0, 8).expect("8 is always in the branch's class");
                     assert!(t.check(0, 16).is_err(), "16 must never match slot 0");
                     ok += 1;
+                    iters[i].store(ok, Ordering::Relaxed);
                 }
                 ok
             }));
         }
-        let updater = {
-            let t = Arc::clone(&t);
-            std::thread::spawn(move || {
-                for round in 0..200 {
-                    let (c8, c16) = if round % 2 == 0 { (2, 1) } else { (1, 2) };
-                    t.update(
-                        move |a| match a {
-                            8 => Some(c8),
-                            16 => Some(c16),
-                            _ => None,
-                        },
-                        move |_| Some(c8),
-                    );
-                }
-            })
-        };
-        updater.join().unwrap();
+        start.wait();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let mut round = 0u32;
+        while round < 200 || iters.iter().any(|n| n.load(Ordering::Relaxed) == 0) {
+            assert!(std::time::Instant::now() < deadline, "a checker never ran within 10 s");
+            let (c8, c16) = if round.is_multiple_of(2) { (2, 1) } else { (1, 2) };
+            t.update(
+                move |a| match a {
+                    8 => Some(c8),
+                    16 => Some(c16),
+                    _ => None,
+                },
+                move |_| Some(c8),
+            );
+            round += 1;
+        }
         stop.store(1, Ordering::Relaxed);
         for h in handles {
             assert!(h.join().unwrap() > 0);

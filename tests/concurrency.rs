@@ -29,13 +29,22 @@ fn checks_never_mix_policy_versions() {
     );
     let stop = Arc::new(AtomicBool::new(false));
     let total_checks = Arc::new(AtomicU64::new(0));
+    // Every checker is running before the first update, and each counts
+    // its finished iterations so the updater keeps alternating until all
+    // of them have checked against the churn, not just against the
+    // settled tables after it.
+    let start = Arc::new(std::sync::Barrier::new(5));
+    let iters: Arc<[AtomicU64; 4]> = Arc::new(Default::default());
 
     let checkers: Vec<_> = (0..4)
-        .map(|_| {
+        .map(|i| {
             let t = Arc::clone(&tables);
             let stop = Arc::clone(&stop);
             let counter = Arc::clone(&total_checks);
+            let start = Arc::clone(&start);
+            let iters = Arc::clone(&iters);
             std::thread::spawn(move || {
+                start.wait();
                 let mut n = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     t.check(0, 8).expect("branch0 -> 8 is legal in both policies");
@@ -44,14 +53,29 @@ fn checks_never_mix_policy_versions() {
                     assert!(t.check(1, 8).is_err(), "branch1 -> 8 is never legal");
                     assert!(t.check(0, 12).is_err(), "12 is never a target");
                     n += 4;
+                    iters[i].fetch_add(1, Ordering::Relaxed);
                 }
                 counter.fetch_add(n, Ordering::Relaxed);
             })
         })
         .collect();
 
-    for round in 0..300 {
-        if round % 2 == 0 {
+    start.wait();
+    let at_first_update: Vec<u64> = iters.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+    let caught_up = || {
+        iters
+            .iter()
+            .zip(&at_first_update)
+            .all(|(n, &at)| n.load(Ordering::Relaxed) >= at + 64)
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut round = 0u64;
+    while round < 300 || !caught_up() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "checkers made no progress within 10 s of updates"
+        );
+        if round.is_multiple_of(2) {
             tables.update(
                 |a| match a {
                     8 => Some(9),
@@ -70,6 +94,7 @@ fn checks_never_mix_policy_versions() {
                 |s| Some([1, 2][s]),
             );
         }
+        round += 1;
     }
     stop.store(true, Ordering::Relaxed);
     for c in checkers {

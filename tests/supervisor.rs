@@ -9,7 +9,7 @@
 
 use mcfi::{
     compile_module, BuildOptions, FaultPlan, FaultPoint, Outcome, ProcessOptions, QuarantineConfig,
-    RecoveryPolicy, Supervisor, System, ViolationPolicy,
+    RecoveryPolicy, RestoreError, Supervisor, System, ViolationPolicy,
 };
 
 fn opts() -> BuildOptions {
@@ -84,6 +84,62 @@ fn seeded_chaos_plans_converge_to_the_fault_free_outcome() {
     let r2 = again.run("__start").expect("runs");
     assert_eq!(r2.outcome, r.outcome);
     assert_eq!(injector.unwrap().fired(), injector2.unwrap().fired());
+}
+
+/// Incremental checkpoints restore exactly what a full copy would: under
+/// the seeded plan, every checkpoint in the ring — restored newest to
+/// oldest and back, each restore followed by a request that dirties the
+/// sandbox again — brings the memory image back byte for byte to a full
+/// copy taken when that checkpoint was captured.
+#[test]
+fn every_ringed_checkpoint_restores_its_full_captured_image() {
+    let seed = chaos_seed();
+    let (mut sup, injector) = boot_retry_host(Some(FaultPlan::random(seed, 4)));
+    let injector = injector.expect("armed");
+    // Between-run checkpoints only, so each capture instant is visible
+    // from here: `Supervisor::run` checkpoints before anything else.
+    sup.process_mut().set_checkpoint_interval(0);
+    // The first capture precedes the run that loads every library, so
+    // the ring spans code-region mappings as well as data writes.
+    let mut images = Vec::new();
+    for _ in 0..4 {
+        images.push(sup.process().mem().raw().to_vec());
+        sup.run("__start").expect("runs");
+    }
+    let ring = sup.process().checkpoints().to_vec();
+    assert_eq!(ring.len(), images.len(), "one checkpoint per request, all retained");
+    assert!(images[0] != images[1], "the first request maps and loads code");
+    let mut restored = 0;
+    for i in (0..ring.len()).rev().chain(0..ring.len()) {
+        let before = sup.process().mem().raw().to_vec();
+        let result = loop {
+            match sup.process_mut().restore(&ring[i]) {
+                Err(RestoreError::Injected(_)) => continue,
+                other => break other,
+            }
+        };
+        match result {
+            Ok(()) => {
+                assert!(
+                    sup.process().mem().raw() == &images[i][..],
+                    "seed {seed}: checkpoint {i} restored a different image"
+                );
+                restored += 1;
+                sup.run("__start").expect("runs");
+            }
+            Err(e) => {
+                assert!(
+                    injector.fired().iter().any(|f| f.point == FaultPoint::CheckpointCorrupt),
+                    "seed {seed}: checkpoint {i} refused without an injected corruption: {e}"
+                );
+                assert!(
+                    sup.process().mem().raw() == &before[..],
+                    "a refused restore writes nothing"
+                );
+            }
+        }
+    }
+    assert!(restored >= 6, "seed {seed}: at most one checkpoint may be corrupt");
 }
 
 /// Every fault point the chaos layer knows, fired once, in one process
